@@ -430,14 +430,12 @@ fn run_bench_cmd(opts: &Options) -> Result<(), CliError> {
     report.sweep = Some(perf::run_sweep_bench(&cfg));
     println!(
         "{} steps in {:.3} sim secs: {:.1} ns/step ({:.0} steps/sec), \
-         dead_ratio {:.4}, {} cancellations, {} compactions, peak RSS {} kB",
+         {} cancellations, peak RSS {} kB",
         report.steps,
         report.sim_secs,
         report.ns_per_step,
         report.steps_per_sec,
-        report.dead_ratio,
         report.cancellations,
-        report.compactions,
         report.peak_rss_kb
     );
     println!(

@@ -177,12 +177,6 @@ pub struct Scenario {
     /// the committed bit-identical baseline; non-FIFO policies are the
     /// schedule-space fuzzer's lever and never feed committed results.
     pub ordering: OrderingPolicy,
-    /// Batched same-instant event service (default on). Off pops every
-    /// event through a full lane scan — the pre-batching reference path.
-    /// The two settings step identical event sequences under every
-    /// ordering policy; the differential proptest in `speedbal-check`
-    /// pins that, which is the only reason this knob exists.
-    pub batched: bool,
 }
 
 impl Scenario {
@@ -203,7 +197,6 @@ impl Scenario {
             trace_sample: 1.0,
             check: false,
             ordering: OrderingPolicy::Fifo,
-            batched: true,
         }
     }
 
@@ -273,13 +266,6 @@ impl Scenario {
     /// [`Scenario::ordering`]; default FIFO).
     pub fn ordered(mut self, policy: OrderingPolicy) -> Scenario {
         self.ordering = policy;
-        self
-    }
-
-    /// Turns batched same-instant event service off (see
-    /// [`Scenario::batched`]; default on).
-    pub fn instant_batching(mut self, on: bool) -> Scenario {
-        self.batched = on;
         self
     }
 
@@ -461,9 +447,6 @@ pub fn run_repeat_detailed(s: &Scenario, r: usize, traced: bool) -> (RepeatOutco
     }
     if !s.ordering.is_fifo() {
         sys.set_ordering_policy(s.ordering.clone());
-    }
-    if !s.batched {
-        sys.set_instant_batching(false);
     }
     let g = sys.new_group();
     debug_assert_eq!(g, app_group);

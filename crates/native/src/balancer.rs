@@ -124,6 +124,37 @@ struct ThreadTable {
     /// that sum keeps constant parity while both terms grow, landing
     /// every new thread on the same core.)
     next_slot: usize,
+    /// Post-migration block per managed core (index = position in
+    /// cores). Kept under the table lock so that a pull checks and claims
+    /// both of its cores atomically: two balancers waking at the same
+    /// instant cannot both pull from one victim.
+    blocks: Vec<Block>,
+}
+
+/// One core's post-migration block, as in the simulator's speed balancer
+/// (`speedbal_core::SpeedBalancer`). Every loop sleeps `interval +
+/// jitter(0..=interval)`, so a test on nominal time alone lets a core act
+/// again after a single jittered activation. A core touched by a
+/// migration therefore stays blocked until **both** `post_migration_block`
+/// nominal intervals have passed **and** its own balancer thread has
+/// completed that many activations.
+#[derive(Debug, Clone, Copy, Default)]
+struct Block {
+    /// Source-clock time of the core's last migration involvement.
+    since: Option<Duration>,
+    /// Own activations still to complete before the block can lift.
+    activations_left: u32,
+}
+
+impl Block {
+    /// Counts one activation of the core's own balancer thread.
+    fn tick(&mut self) {
+        self.activations_left = self.activations_left.saturating_sub(1);
+    }
+
+    fn active(&self, now: Duration, span: Duration) -> bool {
+        self.activations_left > 0 || self.since.is_some_and(|t| now.saturating_sub(t) < span)
+    }
 }
 
 struct Shared {
@@ -131,8 +162,6 @@ struct Shared {
     /// Published per-core speed, as f64 bits (index = position in cores).
     /// NaN = "no data": the core abstains from the global average.
     published: Vec<AtomicU64>,
-    /// Millis (source clock) of each core's last migration involvement.
-    last_migration: Vec<AtomicU64>,
     stats: NativeStats,
     /// Event recorder using the simulator's schema, timestamped with
     /// source-clock nanoseconds. `None` = tracing off.
@@ -140,6 +169,26 @@ struct Shared {
 }
 
 impl Shared {
+    /// Fresh state for balancing `cores`: no threads, no published
+    /// speeds, no blocks.
+    fn new(cores: &[usize], trace: Option<TraceConfig>) -> Shared {
+        Shared {
+            threads: Mutex::new(ThreadTable {
+                blocks: vec![Block::default(); cores.len()],
+                ..ThreadTable::default()
+            }),
+            published: (0..cores.len())
+                .map(|_| AtomicU64::new(f64::NAN.to_bits()))
+                .collect(),
+            stats: NativeStats::default(),
+            trace: trace.map(|cfg| {
+                let mut buf = TraceBuffer::with_config(cfg);
+                buf.set_n_cores(cores.iter().max().map_or(0, |m| m + 1));
+                Mutex::new(buf)
+            }),
+        }
+    }
+
     fn trace_event(&self, now: Duration, cpu: usize, event: TraceEvent) {
         if let Some(buf) = &self.trace {
             let now = SimTime::from_nanos(now.as_nanos() as u64);
@@ -177,20 +226,6 @@ impl Shared {
             }
         }
         (n > 0).then(|| sum / n as f64)
-    }
-
-    fn mark_migration(&self, now: Duration, slot: usize) {
-        let ms = now.as_millis() as u64;
-        self.last_migration[slot].store(ms.max(1), Ordering::Relaxed);
-    }
-
-    fn in_block(&self, now: Duration, slot: usize, block: Duration) -> bool {
-        let last = self.last_migration[slot].load(Ordering::Relaxed);
-        if last == 0 {
-            return false;
-        }
-        let now_ms = now.as_millis() as u64;
-        now_ms.saturating_sub(last) < block.as_millis() as u64
     }
 
     // One parameter per TraceEvent::ProcFault field, deliberately.
@@ -501,14 +536,18 @@ impl NativeSpeedBalancer {
         // the other balancer loops (fatally so on a lockstep virtual
         // clock). Churn between the snapshot and the apply phase is fine:
         // a tid that disappeared from the table in between is skipped.
-        let tids: Vec<i32> = shared
-            .threads
-            .lock()
-            .live
-            .iter()
-            .filter(|(_, s)| s.core == local_cpu)
-            .map(|(tid, _)| *tid)
-            .collect();
+        let tids: Vec<i32> = {
+            let mut table = shared.threads.lock();
+            // This activation counts toward the core's post-migration
+            // block before anything consults the block.
+            table.blocks[slot].tick();
+            table
+                .live
+                .iter()
+                .filter(|(_, s)| s.core == local_cpu)
+                .map(|(tid, _)| *tid)
+                .collect()
+        };
         let mut vanished: Vec<i32> = Vec::new();
         let mut failed: Vec<i32> = Vec::new();
         let mut measured: Vec<(i32, Duration)> = Vec::new();
@@ -591,16 +630,24 @@ impl NativeSpeedBalancer {
             activation(s_local, s_global, ActivationOutcome::BelowAverage);
             return;
         }
-        let block = self.cfg.interval * self.cfg.post_migration_block;
-        if shared.in_block(now, slot, block) {
+        // The block checks, the victim choice and the pull all run under
+        // the table lock, which guards the block ledger.
+        let span = self.cfg.interval * self.cfg.post_migration_block;
+        let mut table = shared.threads.lock();
+        if table.blocks[slot].active(now, span) {
+            drop(table);
             activation(s_local, s_global, ActivationOutcome::Blocked);
             return;
         }
+        // Candidates are scanned in ring order starting just past the
+        // local core, as in the simulator: cores carrying equal thread
+        // counts publish exactly equal speeds, and a fixed low-index-first
+        // scan would resolve every tie toward the same core, starving the
+        // higher-indexed slow queues.
         let mut best: Option<(f64, usize)> = None;
-        for (k, &cpu) in cores.iter().enumerate() {
-            if k == slot {
-                continue;
-            }
+        for off in 1..cores.len() {
+            let k = (slot + off) % cores.len();
+            let cpu = cores[k];
             let s_k = shared.speed_of(k);
             if !s_k.is_finite() {
                 continue; // no data: cannot judge it a victim
@@ -611,7 +658,7 @@ impl NativeSpeedBalancer {
             if self.cfg.block_numa && self.topo.crosses_numa(cpu, local_cpu) {
                 continue;
             }
-            if shared.in_block(now, k, block) {
+            if table.blocks[k].active(now, span) {
                 continue;
             }
             if best.is_none_or(|(bs, _)| s_k < bs) {
@@ -619,13 +666,13 @@ impl NativeSpeedBalancer {
             }
         }
         let Some((best_s_k, victim_slot)) = best else {
+            drop(table);
             activation(s_local, s_global, ActivationOutcome::NoCandidate);
             return;
         };
         let victim_cpu = cores[victim_slot];
 
         // Pull the least-migrated thread from the victim core.
-        let mut table = shared.threads.lock();
         let Some((&tid, _)) = table
             .live
             .iter()
@@ -667,10 +714,15 @@ impl NativeSpeedBalancer {
                 s.exec = t.total();
             }
         }
-        drop(table);
+        let block = Block {
+            since: Some(now),
+            activations_left: self.cfg.post_migration_block,
+        };
+        table.blocks[slot] = block;
+        table.blocks[victim_slot] = block;
         shared.stats.migrations.fetch_add(1, Ordering::Relaxed);
-        shared.mark_migration(now, slot);
-        shared.mark_migration(now, victim_slot);
+        // Traced before the lock is released, so no activation counted
+        // toward the new block can precede the migration in the trace.
         shared.trace_event(
             now,
             local_cpu,
@@ -690,6 +742,7 @@ impl NativeSpeedBalancer {
                 },
             },
         );
+        drop(table);
         activation(s_local, s_global, ActivationOutcome::Pulled);
     }
 
@@ -714,19 +767,7 @@ impl NativeSpeedBalancer {
         trace: Option<TraceConfig>,
     ) -> (NativeStats, Option<TraceBuffer>) {
         let cores = self.managed_cores();
-        let shared = Shared {
-            threads: Mutex::new(ThreadTable::default()),
-            published: (0..cores.len())
-                .map(|_| AtomicU64::new(f64::NAN.to_bits()))
-                .collect(),
-            last_migration: (0..cores.len()).map(|_| AtomicU64::new(0)).collect(),
-            stats: NativeStats::default(),
-            trace: trace.map(|cfg| {
-                let mut buf = TraceBuffer::with_config(cfg);
-                buf.set_n_cores(cores.iter().max().map_or(0, |m| m + 1));
-                Mutex::new(buf)
-            }),
-        };
+        let shared = Shared::new(&cores, trace);
         self.src.sleep(self.cfg.startup_delay);
         self.adopt_threads(&shared, &cores);
 
@@ -989,6 +1030,102 @@ mod tests {
         // Unpinnable threads end up quarantined; the run completes.
         assert!(stats.quarantines.load(Ordering::Relaxed) >= 1);
         assert_eq!(stats.threads_seen.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn victim_ties_resolve_in_ring_order_past_the_puller() {
+        // Eight threads land two per core round-robin; then tid 2 exits,
+        // leaving core 1 with one thread. Cores 0, 2 and 3 publish
+        // exactly 0.5 and tie as victims of core 1's pull. The scan must
+        // start just past the puller and take core 2: a low-index-first
+        // scan hands every such tie to core 0.
+        let mut b = MockProc::builder(900, 4);
+        for tid in 1..=8 {
+            b = b.thread(tid);
+        }
+        let mock = Arc::new(b.build());
+        let cfg = quick_cfg();
+        let bal = NativeSpeedBalancer::attach_with_source(
+            mock.pid(),
+            cfg.clone(),
+            mock.clone(),
+            mock.topology(),
+        )
+        .expect("attach");
+        let cores = bal.managed_cores();
+        let shared = Shared::new(&cores, None);
+        assert_eq!(bal.adopt_threads(&shared, &cores), 8);
+        mock.exit_thread(2);
+        mock.sleep(cfg.interval);
+        // The slow cores publish first, so core 1 sees the full average.
+        for slot in [0, 2, 3, 1] {
+            bal.balance_once(&shared, &cores, slot, Duration::ZERO);
+        }
+        assert_eq!(shared.stats.migrations.load(Ordering::Relaxed), 1);
+        assert_eq!(mock.thread_cpu(3), Some(1), "core 2's first thread pulled");
+        for (tid, cpu) in [(1, 0), (5, 0), (4, 3), (8, 3), (7, 2)] {
+            assert_eq!(mock.thread_cpu(tid), Some(cpu), "tid {tid} stays put");
+        }
+    }
+
+    #[test]
+    fn post_migration_block_spans_own_activations() {
+        // Seven threads on four cores keep SPEED pulling for the whole
+        // run. A 2 ms interval makes the jitter 0..=2 ms, so a loop often
+        // sleeps two full intervals between activations: exactly the gap
+        // a nominal-time block alone lets a core act again after.
+        let mut b = MockProc::builder(950, 4);
+        for tid in 1..=7 {
+            b = b.thread(tid);
+        }
+        let mock = Arc::new(b.process_exits_at(Duration::from_secs(2)).build());
+        let cfg = NativeConfig {
+            interval: Duration::from_millis(2),
+            startup_delay: Duration::ZERO,
+            ..NativeConfig::default()
+        };
+        let block = cfg.post_migration_block;
+        let bal = NativeSpeedBalancer::attach_with_source(950, cfg, mock.clone(), mock.topology())
+            .expect("attach");
+        let stop = AtomicBool::new(false);
+        let (_, trace) = bal.run_traced(&stop, TraceConfig::default());
+        // Per core: own activations since its last pull involvement
+        // (`None` before the first).
+        let mut since: [Option<u32>; 4] = [None; 4];
+        let mut pulls = 0;
+        for rec in trace.records() {
+            match rec.event {
+                TraceEvent::Migrate { from, to, .. } => {
+                    pulls += 1;
+                    // The puller's record for the pulling activation
+                    // itself follows the migration's.
+                    for (core, pulling) in [(from.0, 0), (to.0, 1)] {
+                        if let Some(n) = since[core] {
+                            assert!(
+                                n + pulling >= block,
+                                "core {core} took part in a pull at {} after {} of its own \
+                                 activations; the block needs {block}",
+                                rec.time,
+                                n + pulling
+                            );
+                        }
+                        since[core] = Some(0);
+                    }
+                }
+                TraceEvent::BalancerActivation { outcome, .. }
+                    if outcome != ActivationOutcome::Pulled =>
+                {
+                    if let Some(n) = since[rec.core.0].as_mut() {
+                        *n += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            pulls >= 20,
+            "only {pulls} pulls: the run must keep balancing"
+        );
     }
 
     #[test]

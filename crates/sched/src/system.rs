@@ -679,16 +679,6 @@ impl System {
         self.events.set_ordering(policy);
     }
 
-    /// Turns the event queue's batched same-instant service on or off
-    /// (on by default). Off serves every pop from a full lane scan — the
-    /// pre-batching reference path. Both settings step the exact same
-    /// event sequence under every ordering policy; the differential
-    /// proptest in `crates/check` pins this, so the knob exists for that
-    /// test and for bisecting, not for tuning.
-    pub fn set_instant_batching(&mut self, on: bool) {
-        self.events.set_instant_batching(on);
-    }
-
     /// The `(choice, arity)` branch-point log of an
     /// `OrderingPolicy::Exhaustive` run (empty under any other policy);
     /// feed it to `speedbal_sim::ordering::next_prefix` to enumerate the
@@ -799,20 +789,9 @@ impl System {
         self.events_processed
     }
 
-    /// Fraction of pending heap entries that are cancelled-but-unpurged
-    /// (see [`EventQueue::dead_ratio`]); bench/diagnostic introspection.
-    pub fn event_dead_ratio(&self) -> f64 {
-        self.events.dead_ratio()
-    }
-
     /// Slot cancellations performed by the event queue so far.
     pub fn event_cancellations(&self) -> u64 {
         self.events.cancellations()
-    }
-
-    /// Dead-entry compaction passes performed by the event queue so far.
-    pub fn event_compactions(&self) -> u64 {
-        self.events.compactions()
     }
 
     /// Live (undelivered, uncancelled) events currently pending.

@@ -7,69 +7,65 @@
 //!
 //! # Structure
 //!
-//! Events live in a hierarchical timing wheel: `LEVELS` levels of
-//! `WHEEL_SLOTS` buckets each, every level `LEVEL_BITS` bits wider than
-//! the one below, with a `u64` occupancy bitmap per level so finding the
-//! next non-empty bucket is a rotate plus a trailing-zeros count. All
-//! entries are nodes in one slab (`nodes` + free list) and a bucket is just
-//! the `u32` head of an intrusive singly-linked list, so cascading a
-//! coarse bucket toward level 0 relinks indices without moving payloads,
-//! and the only growable allocation is the slab itself — its capacity
-//! ratchets to the peak in-flight event count and steady state touches the
-//! heap never (proved by `crates/sched/tests/alloc_free.rs`).
+//! Events live in three containers:
 //!
-//! Level-0 buckets are one nanosecond wide, so a level-0 bucket holds
-//! **exactly one instant**: draining it (sorted by sequence number) yields
-//! the current *batch*, and every same-instant event after the first — a
-//! barrier release of 64 waiters, say — is served by a pointer bump
-//! instead of a heap pop. Events beyond the wheel's `2^48` ns horizon wait
-//! in an overflow list and are redistributed when the cursor approaches.
+//! * **The wheel**: `LEVELS` levels of `WHEEL_SLOTS` buckets each, every
+//!   level `LEVEL_BITS` bits wider than the one below, with a `u64`
+//!   occupancy bitmap per level so finding the next non-empty bucket is a
+//!   rotate plus a trailing-zeros count. All entries are nodes in one slab
+//!   (`nodes` + free list) and a bucket is just the `u32` head of an
+//!   intrusive singly-linked list, so cascading a coarse bucket toward
+//!   level 0 relinks indices without moving payloads, and the only
+//!   growable allocation is the slab itself — its capacity ratchets to the
+//!   peak in-flight event count and steady state touches the heap never
+//!   (proved by `crates/sched/tests/alloc_free.rs`). Events beyond the
+//!   wheel's `2^48` ns horizon wait in an overflow list and are
+//!   redistributed when the cursor approaches.
+//! * **The batch**: every node at or below the wheel cursor, sorted by
+//!   `(time, seq)`. Level-0 buckets are one nanosecond wide, so a level-0
+//!   bucket holds **exactly one instant**: draining it (sorted by
+//!   sequence number) refills the batch, and every same-instant event
+//!   after the first — a barrier release of 64 waiters, say — is served
+//!   by a pointer bump instead of a wheel walk. The cursor trails the
+//!   earliest pending event, not the external clock: a peek, or a refill
+//!   that a lane entry then beats, walks it past `now()`, and an event
+//!   scheduled between the clock and the cursor is merged into the batch
+//!   at its `(time, seq)` position.
+//! * **The slot lane** (below).
 //!
-//! The wheel cursor (`wheel_now`) trails the earliest pending event, never
-//! the external clock: peeking may walk it forward past `now()`, and an
-//! event then scheduled between the external clock and the cursor goes to
-//! a small fallback heap (`early`) that is always served first. Every
-//! event is therefore popped in exact `(time, seq)` order no matter which
-//! internal container it traversed — see `DESIGN.md` for the argument.
+//! Batch nodes are at or below the cursor and wheel nodes strictly past
+//! it, so the batch front precedes all wheel content: every event is
+//! popped in exact `(time, seq)` order no matter which container it
+//! traversed — see `DESIGN.md` for the argument.
 //!
-//! # Slots, the armed-entry fast lane, and lazy cancellation
+//! # Slots and the armed-entry fast lane
 //!
 //! A recurring discrete-event pattern is "at most one pending event per
-//! entity" (e.g. one armed boundary event per simulated core). Posting a
-//! replacement and invalidating the old entry with an external sequence
-//! check leaves dead entries rotting in the queue, where every one of them
-//! costs a pop and a branch. [`EventQueue::alloc_slot`] gives an entity a
-//! *slot*: [`EventQueue::schedule_in_slot`] cancels the slot's previously
-//! armed entry and arms a new one; [`EventQueue::cancel_slot`] disarms
-//! without a replacement.
+//! entity" (e.g. one armed boundary event per simulated core).
+//! [`EventQueue::alloc_slot`] gives an entity a *slot*:
+//! [`EventQueue::schedule_in_slot`] replaces the slot's previously armed
+//! entry; [`EventQueue::cancel_slot`] disarms without a replacement.
 //!
 //! Because slot-armed events dominate a scheduler's event traffic (one
 //! boundary event per core, re-armed on nearly every dispatch), each
-//! slot's *live* entry is held in a dense per-slot **fast lane** — three
+//! slot's entry is held in a dense per-slot **fast lane** — three
 //! parallel vectors indexed by slot — instead of the wheel. Arming is
-//! three stores; popping scans the (small, core-count-sized) lane for its
-//! `(time, seq)` minimum and serves it directly whenever it provably
-//! precedes everything wheel-resident, using a cached conservative lower
-//! bound on the wheel's content (`wheel_lb`). Superseding or cancelling an
-//! armed entry *demotes* it into the wheel as a dead carcass, so
-//! cancellation remains lazy and observable: the carcass stays in its
-//! bucket until it surfaces or a compaction pass sweeps it, exactly as if
-//! it had been wheel-resident all along. When dead entries outnumber half
-//! the live ones the whole structure is compacted in place, preserving the
-//! sequence numbers — and therefore the FIFO order — of the survivors.
+//! three stores and cancelling clears the cell. Pops serve the lane's
+//! `(time, seq)` minimum, found through the instant-run cache, directly
+//! whenever it provably precedes the batch front and everything
+//! wheel-resident, using a cached conservative lower bound on the wheel's
+//! content (`wheel_lb`).
 //!
 //! Sequence numbers are consumed by every insertion, slot-armed or not, so
 //! a slot-armed schedule produces the exact pop order of the equivalent
 //! post-and-invalidate schedule: replays stay bit-identical across the two
-//! idioms, and bit-identical to the binary-heap implementation this wheel
-//! replaced (proved continuously by the differential fuzz in
+//! idioms (proved continuously by the differential fuzz in
 //! `speedbal-check`).
 
 use crate::ordering::OrderingPolicy;
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Debug;
 
 /// An event plus its scheduled time, as returned by [`EventQueue::pop`].
@@ -83,7 +79,7 @@ pub struct ScheduledEvent<E> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotId(u32);
 
-/// Marker for entries not owned by any slot.
+/// Marker for events not owned by any slot.
 const NO_SLOT: u32 = u32::MAX;
 
 /// Null link / end-of-list marker in the node slab.
@@ -100,14 +96,12 @@ const LEVELS: usize = 8;
 /// Total bits of horizon covered by the wheel levels.
 const HORIZON_BITS: u32 = LEVEL_BITS * LEVELS as u32;
 
-/// A slab node: one scheduled event plus its intrusive list link. `event`
-/// is `None` only while the node sits on the free list.
+/// A slab node: one scheduled plain event plus its intrusive list link.
+/// `event` is `None` only while the node sits on the free list.
 #[derive(Debug)]
 struct Node<E> {
     time: SimTime,
     seq: u64,
-    /// Owning slot index, or `NO_SLOT`.
-    slot: u32,
     /// Next node in whatever list this node is on (bucket, overflow, free
     /// list), or `NIL`.
     next: u32,
@@ -115,45 +109,13 @@ struct Node<E> {
 }
 
 /// Outcome of one [`EventQueue::refill`] attempt: nothing pending, a lone
-/// already-liveness-checked event served straight off the wheel (the
-/// singleton fast path, which skips the batch round trip entirely), or a
-/// level-0 bucket drained into the batch.
+/// event served straight off the wheel (the singleton fast path, which
+/// skips the batch round trip entirely), or a level-0 bucket drained into
+/// the batch.
 enum Refill {
     Empty,
     Direct(u32),
     Batch,
-}
-
-/// Key of an early-heap resident: time and sequence are mirrored out of
-/// the node so the heap's sift compares without chasing the slab.
-#[derive(Debug)]
-struct EarlyRef {
-    time: SimTime,
-    seq: u64,
-    node: u32,
-}
-
-impl PartialEq for EarlyRef {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for EarlyRef {}
-
-impl Ord for EarlyRef {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert to get earliest-first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for EarlyRef {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Engine state for a non-FIFO [`OrderingPolicy`]. `None` on the queue
@@ -179,8 +141,8 @@ enum ReorderState {
 /// One same-instant event pulled out of the queue for reordered
 /// service. `slot` is the owning slot (or [`NO_SLOT`]); `event` is
 /// `None` once the entry is served — or killed by a same-instant
-/// cancel/re-arm of its slot, exactly as a demotion would have killed
-/// it under FIFO had the cancel popped first.
+/// cancel/re-arm of its slot, exactly as clearing its lane cell would
+/// have killed it under FIFO had the cancel popped first.
 #[derive(Debug)]
 struct StashEntry<E> {
     slot: u32,
@@ -212,15 +174,15 @@ impl Level {
 /// which is far worse than a crash).
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Node slab; the single growable store for event payloads.
+    /// Node slab; the single growable store for plain-event payloads.
     nodes: Vec<Node<E>>,
     /// Head of the slab's free list (`NIL` when exhausted).
     free_head: u32,
     /// The hierarchical wheel itself.
     levels: Box<[Level; LEVELS]>,
     /// Per-level occupancy bitmaps: bit `i` of `occ[L]` is set iff bucket
-    /// `i` of level `L` is non-empty (dead entries included). Kept flat and
-    /// out of [`Level`] so the whole candidate scan reads one cache line.
+    /// `i` of level `L` is non-empty. Kept flat and out of [`Level`] so
+    /// the whole candidate scan reads one cache line.
     occ: [u64; LEVELS],
     /// Bit `L` set iff `occ[L] != 0`: the candidate scan iterates only
     /// occupied levels.
@@ -228,32 +190,27 @@ pub struct EventQueue<E> {
     /// Head of the beyond-horizon overflow list (unordered); redistributed
     /// into the wheel when the cursor gets within range.
     overflow_head: u32,
-    /// Minimum time over all overflow entries (dead included);
-    /// `u64::MAX` when the list is empty.
+    /// Minimum time over all overflow entries; `u64::MAX` when the list
+    /// is empty.
     overflow_min: u64,
-    /// Events scheduled below the wheel cursor (legal: the cursor may run
-    /// ahead of the external clock after a peek). Always served first —
-    /// every early entry precedes everything wheel-resident.
-    early: BinaryHeap<EarlyRef>,
-    /// The instant currently being served: the drained level-0 bucket at
-    /// time `wheel_now`, sorted by sequence number. Same-instant
-    /// late-comers append here (their sequence numbers are larger by
-    /// construction, so order is preserved).
+    /// Every node at or below the cursor, sorted by `(time, seq)`: the
+    /// drained level-0 bucket of the instant `wheel_now`, plus legal
+    /// late-comers below it (the cursor may run ahead of the external
+    /// clock). Same-instant arrivals at the cursor append (their sequence
+    /// numbers are larger by construction); earlier ones merge in by time.
     batch: VecDeque<u32>,
-    /// The wheel cursor, in nanoseconds. Invariants: never decreases,
-    /// `<=` every live *wheel-resident* event's time, and equals the batch
-    /// instant. Lane entries are independent of the cursor.
+    /// The wheel cursor, in nanoseconds. Never decreases; every batch
+    /// node is at or below it and every wheel- or overflow-resident node
+    /// strictly past it. Lane entries are independent of the cursor.
     wheel_now: u64,
     /// Conservative lower bound (ns) on every wheel- or overflow-resident
     /// entry's time; `u64::MAX` when both are empty. A lane entry strictly
-    /// below it (with batch and early empty) is provably the global
+    /// below it that also precedes the batch front is provably the global
     /// minimum and is served without touching the wheel.
     wheel_lb: u64,
-    /// Total entries (live + dead) across all containers, lane included.
+    /// Pending entries across all containers, lane included (stashed
+    /// entries excluded).
     count: usize,
-    /// Sequence number of each slot's armed entry (`None` = slot disarmed;
-    /// its old entry, if still queue-resident, is dead).
-    slots: Vec<Option<u64>>,
     /// Fast lane: scheduled time (ns) of each slot's armed entry;
     /// `u64::MAX` = disarmed.
     lane_time: Vec<u64>,
@@ -262,13 +219,6 @@ pub struct EventQueue<E> {
     lane_seq: Vec<u64>,
     /// Fast lane: payload of each slot's armed entry.
     lane_event: Vec<Option<E>>,
-    /// Memoized [`EventQueue::lane_min`] result, reused until the lane
-    /// changes (arm, cancel, serve). A peek followed by the pop of the
-    /// same event — the dominant event-loop pattern — scans the lane once.
-    /// Only consulted when instant batching is off; the run cache
-    /// subsumes it otherwise.
-    lane_memo: Option<(u64, u64, usize)>,
-    lane_memo_valid: bool,
     /// Instant-run cache: every lane entry armed at `run_time` when the
     /// cache was last rebuilt, as `(seq, slot)` sorted ascending by seq,
     /// plus same-instant late arms appended (their seqs are larger by
@@ -283,14 +233,6 @@ pub struct EventQueue<E> {
     /// The instant `run` holds; meaningful only while `run_head <
     /// run.len()`.
     run_time: u64,
-    /// Instant batching on/off (default on). Off falls back to the
-    /// memoized full-lane scan per pop — kept as a differential
-    /// reference for the batched path.
-    batched: bool,
-    /// Number of dead (cancelled/superseded) entries still in the queue.
-    dead: usize,
-    /// Reusable index buffer for compaction passes.
-    scratch: Vec<u32>,
     /// Same-instant ordering engine; `None` = the FIFO default.
     reorder: Option<ReorderState>,
     /// The instant currently being served out of order: every pending
@@ -308,7 +250,6 @@ pub struct EventQueue<E> {
     next_seq: u64,
     now: SimTime,
     cancellations: u64,
-    compactions: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -316,10 +257,6 @@ impl<E> Default for EventQueue<E> {
         Self::new()
     }
 }
-
-/// Compaction is worth the O(n) sweep only past a minimum carcass count;
-/// below it, lazy drops are cheaper.
-const COMPACT_MIN_DEAD: usize = 32;
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at time zero.
@@ -332,23 +269,16 @@ impl<E> EventQueue<E> {
             occ_levels: 0,
             overflow_head: NIL,
             overflow_min: u64::MAX,
-            early: BinaryHeap::new(),
             batch: VecDeque::new(),
             wheel_now: 0,
             wheel_lb: u64::MAX,
             count: 0,
-            slots: Vec::new(),
             lane_time: Vec::new(),
             lane_seq: Vec::new(),
             lane_event: Vec::new(),
-            lane_memo: None,
-            lane_memo_valid: false,
             run: Vec::new(),
             run_head: 0,
             run_time: u64::MAX,
-            batched: true,
-            dead: 0,
-            scratch: Vec::new(),
             reorder: None,
             stash: Vec::new(),
             stash_live: 0,
@@ -357,7 +287,6 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             now: SimTime::ZERO,
             cancellations: 0,
-            compactions: 0,
         }
     }
 
@@ -366,30 +295,15 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending *live* events (a stashed same-instant event
-    /// awaiting reordered service is still pending).
+    /// Number of pending events (a stashed same-instant event awaiting
+    /// reordered service is still pending).
     pub fn len(&self) -> usize {
-        self.count - self.dead + self.stash_live
+        self.count + self.stash_live
     }
 
-    /// True iff no live events are pending.
+    /// True iff no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of dead (cancelled) entries still occupying the queue.
-    pub fn dead_len(&self) -> usize {
-        self.dead
-    }
-
-    /// Dead entries per live entry — the queue-rot introspection hook. Zero
-    /// on an empty or fully live queue.
-    pub fn dead_ratio(&self) -> f64 {
-        if self.dead == 0 {
-            0.0
-        } else {
-            self.dead as f64 / self.len().max(1) as f64
-        }
     }
 
     /// Total slot entries cancelled (superseded or disarmed) so far.
@@ -397,38 +311,20 @@ impl<E> EventQueue<E> {
         self.cancellations
     }
 
-    /// Number of compaction passes performed so far.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
     /// Allocates a slot: a handle under which at most one event is pending
     /// at a time.
     pub fn alloc_slot(&mut self) -> SlotId {
-        let id = self.slots.len();
+        let id = self.lane_time.len();
         assert!(id < NO_SLOT as usize, "slot namespace exhausted");
-        self.slots.push(None);
         self.lane_time.push(u64::MAX);
         self.lane_seq.push(0);
         self.lane_event.push(None);
         SlotId(id as u32)
     }
 
-    /// True iff the slot currently has a live pending event.
+    /// True iff the slot currently has a pending event.
     pub fn slot_armed(&self, slot: SlotId) -> bool {
-        self.slots[slot.0 as usize].is_some()
-    }
-
-    /// Turns the instant-run cache on or off (it is on by default). Off
-    /// serves every pop from a memoized full-lane scan — the pre-cache
-    /// path, kept as a differential reference: both settings pop the
-    /// exact same `(time, seq)` sequence. Safe to flip at any point; the
-    /// cache is rebuilt on demand.
-    pub fn set_instant_batching(&mut self, on: bool) {
-        self.batched = on;
-        self.run.clear();
-        self.run_head = 0;
-        self.lane_memo_valid = false;
+        self.lane_time[slot.0 as usize] != u64::MAX
     }
 
     /// Selects the same-instant [`OrderingPolicy`]. Must be called while
@@ -472,9 +368,8 @@ impl<E> EventQueue<E> {
     {
         assert!(
             at >= self.now,
-            "scheduled an event in the past: {at} < now {} (event {event:?}, {} dead entries pending)",
+            "scheduled an event in the past: {at} < now {} (event {event:?})",
             self.now,
-            self.dead,
         );
     }
 
@@ -487,7 +382,7 @@ impl<E> EventQueue<E> {
         self.assert_future(at, &event);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert(at, seq, NO_SLOT, event);
+        self.insert(at, seq, event);
     }
 
     /// Schedules `event` at `at` under `slot`, cancelling the slot's
@@ -499,16 +394,15 @@ impl<E> EventQueue<E> {
         self.assert_future(at, &event);
         let s = slot.0 as usize;
         self.stash_kill(s);
+        if !self.disarm(s) {
+            self.count += 1;
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
-        if let Some(old_seq) = self.slots[s].replace(seq) {
-            self.demote(s, old_seq);
-        }
         let at_ns = at.as_nanos();
         self.lane_time[s] = at_ns;
         self.lane_seq[s] = seq;
         self.lane_event[s] = Some(event);
-        self.lane_memo_valid = false;
         if self.run_head < self.run.len() {
             if at_ns == self.run_time {
                 // Same-instant late arm: seq is the largest issued, so
@@ -521,30 +415,38 @@ impl<E> EventQueue<E> {
                 self.run_head = 0;
             }
         }
-        self.count += 1;
-        self.maybe_compact();
     }
 
-    /// Cancels the slot's armed event, if any. The lane entry is demoted
-    /// to a wheel carcass that is skipped (or compacted away) later.
+    /// Cancels the slot's armed event, if any.
     pub fn cancel_slot(&mut self, slot: SlotId) {
         let s = slot.0 as usize;
         self.stash_kill(s);
-        if let Some(old_seq) = self.slots[s].take() {
-            self.demote(s, old_seq);
-            self.lane_memo_valid = false;
+        if self.disarm(s) {
+            self.count -= 1;
         }
-        self.maybe_compact();
+    }
+
+    /// Clears slot `s`'s lane cell, returning whether it was armed (a
+    /// cancellation). The run cache needs no hook: its stale member is
+    /// skipped when it reaches the front.
+    fn disarm(&mut self, s: usize) -> bool {
+        if self.lane_time[s] == u64::MAX {
+            return false;
+        }
+        self.lane_time[s] = u64::MAX;
+        self.lane_event[s] = None;
+        self.cancellations += 1;
+        true
     }
 
     /// Kills the stash's live entry for slot `s`, if any. A handler that
     /// cancels or re-arms a slot mid-instant must prevent the slot's
-    /// not-yet-served same-instant event from firing — under FIFO the
-    /// demotion does this; under reordering the entry has already been
-    /// pulled into the stash, so it is killed in place. This matches the
-    /// legal serialization in which the cancelling handler runs before
-    /// the cancelled event. No-op (one load and branch) under FIFO,
-    /// where the stash is always empty.
+    /// not-yet-served same-instant event from firing — under FIFO
+    /// clearing the lane cell does this; under reordering the entry has
+    /// already been pulled into the stash, so it is killed in place. This
+    /// matches the legal serialization in which the cancelling handler
+    /// runs before the cancelled event. No-op (one load and branch) under
+    /// FIFO, where the stash is always empty.
     #[inline]
     fn stash_kill(&mut self, s: usize) {
         if self.stash_live == 0 {
@@ -562,48 +464,15 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Moves a superseded/cancelled lane entry into the wheel as a dead
-    /// carcass. The caller has already retired `old_seq` from `slots`, so
-    /// the node is dead the moment it is linked — cancellation stays lazy
-    /// and its counters keep their pre-lane semantics. `count` is
-    /// unchanged: the entry merely switches containers.
-    fn demote(&mut self, s: usize, old_seq: u64) {
-        self.dead += 1;
-        self.cancellations += 1;
-        let time = SimTime::from_nanos(self.lane_time[s]);
-        let event = self.lane_event[s]
-            .take()
-            .expect("armed lane slot without an event");
-        self.lane_time[s] = u64::MAX;
-        let i = self.alloc_node(time, old_seq, s as u32, event);
-        let t = time.as_nanos();
-        if t == self.wheel_now {
-            self.batch.push_back(i);
-        } else if t < self.wheel_now {
-            self.early.push(EarlyRef {
-                time,
-                seq: old_seq,
-                node: i,
-            });
-        } else {
-            self.wheel_insert(i);
-        }
-    }
-
-    fn node_is_live(slots: &[Option<u64>], n: &Node<E>) -> bool {
-        n.slot == NO_SLOT || slots[n.slot as usize] == Some(n.seq)
-    }
-
     /// Takes a node off the free list (or grows the slab) and initialises
     /// it.
-    fn alloc_node(&mut self, time: SimTime, seq: u64, slot: u32, event: E) -> u32 {
+    fn alloc_node(&mut self, time: SimTime, seq: u64, event: E) -> u32 {
         if self.free_head != NIL {
             let i = self.free_head;
             let n = &mut self.nodes[i as usize];
             self.free_head = n.next;
             n.time = time;
             n.seq = seq;
-            n.slot = slot;
             n.next = NIL;
             n.event = Some(event);
             i
@@ -616,7 +485,6 @@ impl<E> EventQueue<E> {
             self.nodes.push(Node {
                 time,
                 seq,
-                slot,
                 next: NIL,
                 event: Some(event),
             });
@@ -634,40 +502,25 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Returns a node to the free list, dropping its event.
-    #[inline]
-    fn free_node(&mut self, i: u32) {
-        let n = &mut self.nodes[i as usize];
-        n.event = None;
-        n.next = self.free_head;
-        self.free_head = i;
-    }
-
-    /// Frees a node and hands back the fields [`EventQueue::pop`] needs.
-    fn take_node(&mut self, i: u32) -> (SimTime, u32, E) {
-        let n = &mut self.nodes[i as usize];
-        let time = n.time;
-        let slot = n.slot;
-        let event = n.event.take().expect("taking a freed node");
-        n.next = self.free_head;
-        self.free_head = i;
-        (time, slot, event)
-    }
-
-    /// Routes a fresh entry to the batch (same instant as the cursor), the
-    /// early heap (below the cursor) or the wheel/overflow (at or past it).
-    fn insert(&mut self, time: SimTime, seq: u64, slot: u32, event: E) {
+    /// Routes a fresh node to the batch (at or below the cursor) or the
+    /// wheel/overflow (past it).
+    fn insert(&mut self, time: SimTime, seq: u64, event: E) {
         self.count += 1;
         let t = time.as_nanos();
-        let i = self.alloc_node(time, seq, slot, event);
+        let i = self.alloc_node(time, seq, event);
         if t == self.wheel_now {
-            // The instant currently being served. The new sequence number
-            // exceeds every batched one, so appending preserves FIFO.
+            // The cursor instant is the batch's latest, and the new
+            // sequence number exceeds every batched one, so appending
+            // keeps the batch sorted.
             self.batch.push_back(i);
         } else if t < self.wheel_now {
-            // Legal late-comer: the cursor ran ahead of the external clock
-            // during a peek. Early entries precede all wheel content.
-            self.early.push(EarlyRef { time, seq, node: i });
+            // Legal late-comer: the cursor ran ahead of the external
+            // clock. Merge by time; the fresh seq goes last among equals.
+            let nodes = &self.nodes;
+            let at = self
+                .batch
+                .partition_point(|&j| nodes[j as usize].time.as_nanos() <= t);
+            self.batch.insert(at, i);
         } else {
             self.wheel_insert(i);
         }
@@ -707,86 +560,6 @@ impl<E> EventQueue<E> {
                 self.occ_levels |= 1 << level;
             }
         }
-    }
-
-    /// Compacts the whole structure — every bucket, the overflow list, the
-    /// early heap and the batch — once dead entries outnumber half the
-    /// live ones. Sequence numbers are untouched, so FIFO order within an
-    /// instant survives compaction.
-    fn maybe_compact(&mut self) {
-        if self.dead >= COMPACT_MIN_DEAD && self.dead * 2 > self.len() {
-            self.compact();
-        }
-    }
-
-    fn compact(&mut self) {
-        // Wheel buckets: relink each list keeping only live nodes.
-        for li in 0..LEVELS {
-            let mut occ = self.occ[li];
-            while occ != 0 {
-                let idx = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                let mut cur = std::mem::replace(&mut self.levels[li].heads[idx], NIL);
-                let mut kept = NIL;
-                while cur != NIL {
-                    let next = self.nodes[cur as usize].next;
-                    if Self::node_is_live(&self.slots, &self.nodes[cur as usize]) {
-                        self.nodes[cur as usize].next = kept;
-                        kept = cur;
-                    } else {
-                        self.free_node(cur);
-                    }
-                    cur = next;
-                }
-                self.levels[li].heads[idx] = kept;
-                if kept == NIL {
-                    self.clear_bucket_bit(li, idx);
-                }
-            }
-        }
-        // Overflow list, recomputing its lower bound over the survivors.
-        let mut cur = std::mem::replace(&mut self.overflow_head, NIL);
-        self.overflow_min = u64::MAX;
-        while cur != NIL {
-            let next = self.nodes[cur as usize].next;
-            if Self::node_is_live(&self.slots, &self.nodes[cur as usize]) {
-                self.overflow_min = self
-                    .overflow_min
-                    .min(self.nodes[cur as usize].time.as_nanos());
-                self.nodes[cur as usize].next = self.overflow_head;
-                self.overflow_head = cur;
-            } else {
-                self.free_node(cur);
-            }
-            cur = next;
-        }
-        // Early heap and batch: collect carcass indices through the
-        // reusable scratch buffer (retain can't reach the free list while
-        // it borrows the container), then free them.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        {
-            let nodes = &self.nodes;
-            let slots = &self.slots;
-            self.early.retain(|r| {
-                Self::node_is_live(slots, &nodes[r.node as usize]) || {
-                    scratch.push(r.node);
-                    false
-                }
-            });
-            self.batch.retain(|&i| {
-                Self::node_is_live(slots, &nodes[i as usize]) || {
-                    scratch.push(i);
-                    false
-                }
-            });
-        }
-        for i in scratch.drain(..) {
-            self.free_node(i);
-        }
-        self.scratch = scratch;
-        self.count -= self.dead;
-        self.dead = 0;
-        self.compactions += 1;
     }
 
     /// Finds the minimal-start candidate bucket across all levels:
@@ -838,26 +611,20 @@ impl<E> EventQueue<E> {
     }
 
     /// Redistributes the overflow list against the (just-advanced) cursor:
-    /// dead entries are dropped, in-horizon entries file into the wheel,
-    /// the rest stay and `overflow_min` is recomputed.
+    /// in-horizon entries file into the wheel, the rest stay and
+    /// `overflow_min` is recomputed.
     fn redistribute_overflow(&mut self) {
         let mut cur = std::mem::replace(&mut self.overflow_head, NIL);
         self.overflow_min = u64::MAX;
         while cur != NIL {
             let next = self.nodes[cur as usize].next;
-            if !Self::node_is_live(&self.slots, &self.nodes[cur as usize]) {
-                self.free_node(cur);
-                self.dead -= 1;
-                self.count -= 1;
+            let t = self.nodes[cur as usize].time.as_nanos();
+            if Self::level_of(t ^ self.wheel_now).is_some() {
+                self.wheel_insert(cur);
             } else {
-                let t = self.nodes[cur as usize].time.as_nanos();
-                if Self::level_of(t ^ self.wheel_now).is_some() {
-                    self.wheel_insert(cur);
-                } else {
-                    self.overflow_min = self.overflow_min.min(t);
-                    self.nodes[cur as usize].next = self.overflow_head;
-                    self.overflow_head = cur;
-                }
+                self.overflow_min = self.overflow_min.min(t);
+                self.nodes[cur as usize].next = self.overflow_head;
+                self.overflow_head = cur;
             }
             cur = next;
         }
@@ -866,10 +633,11 @@ impl<E> EventQueue<E> {
     /// Advances the cursor to the next occupied instant and either hands
     /// back its lone event directly ([`Refill::Direct`], the singleton
     /// fast path) or drains its level-0 bucket into the batch (sorted by
-    /// sequence number, [`Refill::Batch`]). [`Refill::Empty`] iff no live
-    /// event is pending. Precondition: batch and early heap are empty.
+    /// sequence number, [`Refill::Batch`]). [`Refill::Empty`] iff the
+    /// wheel and overflow list are empty. Precondition: the batch is
+    /// empty.
     fn refill(&mut self) -> Refill {
-        debug_assert!(self.batch.is_empty() && self.early.is_empty());
+        debug_assert!(self.batch.is_empty());
         loop {
             let (best, second) = self.min_candidate();
             // Pull the overflow back in before serving anything at or past
@@ -884,9 +652,8 @@ impl<E> EventQueue<E> {
                 self.wheel_lb = u64::MAX;
                 return Refill::Empty;
             };
-            // `start` can trail the cursor only for a stale, dead-only
-            // bucket left over from an earlier wrap; max() keeps the
-            // cursor monotone either way.
+            // A coarse bucket the cursor has entered starts at or below
+            // it; max() keeps the cursor monotone.
             self.wheel_now = self.wheel_now.max(start);
             if level > 0 {
                 // Singleton fast path: with sparse occupancy (the common
@@ -899,14 +666,6 @@ impl<E> EventQueue<E> {
                 // it directly instead.
                 let head = self.levels[level].heads[idx];
                 if self.nodes[head as usize].next == NIL {
-                    if !Self::node_is_live(&self.slots, &self.nodes[head as usize]) {
-                        self.levels[level].heads[idx] = NIL;
-                        self.clear_bucket_bit(level, idx);
-                        self.free_node(head);
-                        self.dead -= 1;
-                        self.count -= 1;
-                        continue;
-                    }
                     let t = self.nodes[head as usize].time.as_nanos();
                     if t < second.min(self.overflow_min) {
                         self.levels[level].heads[idx] = NIL;
@@ -919,24 +678,13 @@ impl<E> EventQueue<E> {
                     }
                 }
             }
-            let lv = &mut self.levels[level];
-            let mut cur = std::mem::replace(&mut lv.heads[idx], NIL);
+            let mut cur = std::mem::replace(&mut self.levels[level].heads[idx], NIL);
             self.clear_bucket_bit(level, idx);
             if level == 0 {
                 // One level-0 bucket = one instant: this is the new batch.
                 while cur != NIL {
-                    let next = self.nodes[cur as usize].next;
-                    if Self::node_is_live(&self.slots, &self.nodes[cur as usize]) {
-                        self.batch.push_back(cur);
-                    } else {
-                        self.free_node(cur);
-                        self.dead -= 1;
-                        self.count -= 1;
-                    }
-                    cur = next;
-                }
-                if self.batch.is_empty() {
-                    continue; // the bucket was all carcasses
+                    self.batch.push_back(cur);
+                    cur = self.nodes[cur as usize].next;
                 }
                 // The list is in last-in-first-out link order; one sort
                 // restores the insertion (sequence) order for the whole
@@ -950,75 +698,26 @@ impl<E> EventQueue<E> {
                 self.wheel_lb = second.min(self.overflow_min);
                 return Refill::Batch;
             }
-            // Cascade a coarser bucket: every live entry relinks at a
-            // strictly lower level now that the cursor is inside its range.
+            // Cascade a coarser bucket: every entry relinks at a strictly
+            // lower level now that the cursor is inside its range.
             while cur != NIL {
                 let next = self.nodes[cur as usize].next;
-                if Self::node_is_live(&self.slots, &self.nodes[cur as usize]) {
-                    self.wheel_insert(cur);
-                } else {
-                    self.free_node(cur);
-                    self.dead -= 1;
-                    self.count -= 1;
-                }
+                self.wheel_insert(cur);
                 cur = next;
             }
         }
     }
 
     /// The earliest armed lane entry by `(time, seq)`: `(time_ns, seq,
-    /// slot)`, or `None` when no slot is armed. Memoized until the lane
-    /// changes. The scan is branchless min passes over the contiguous,
-    /// core-count-sized lane vectors — same-instant ties (a whole barrier
-    /// arming at one boundary) would make a compare-and-branch scan
-    /// mispredict on nearly every element.
+    /// slot)`, or `None` when no slot is armed. Served through the
+    /// instant-run cache: the front entry that still matches its lane
+    /// cell is the lane minimum (the cache holds *every* arm at
+    /// `run_time`, seq-sorted, and any arm at an earlier instant clears
+    /// it). Stale fronts — served, cancelled, or superseded slots — are
+    /// skipped in place; an exhausted cache is rebuilt with one scan over
+    /// the lane, which a whole lockstep instant then amortizes.
     #[inline]
     fn lane_min(&mut self) -> Option<(u64, u64, usize)> {
-        if self.batched {
-            return self.lane_min_batched();
-        }
-        if self.lane_memo_valid {
-            return self.lane_memo;
-        }
-        let mut tmin = u64::MAX;
-        for &t in &self.lane_time {
-            tmin = tmin.min(t);
-        }
-        let best = if tmin == u64::MAX {
-            None
-        } else {
-            let mut smin = u64::MAX;
-            for (s, &t) in self.lane_time.iter().enumerate() {
-                let cand = if t == tmin {
-                    self.lane_seq[s]
-                } else {
-                    u64::MAX
-                };
-                smin = smin.min(cand);
-            }
-            let mut idx = 0;
-            for (s, &t) in self.lane_time.iter().enumerate() {
-                if t == tmin && self.lane_seq[s] == smin {
-                    idx = s;
-                    break;
-                }
-            }
-            Some((tmin, smin, idx))
-        };
-        self.lane_memo = best;
-        self.lane_memo_valid = true;
-        best
-    }
-
-    /// [`EventQueue::lane_min`] through the instant-run cache: the front
-    /// entry that still matches its lane cell is the lane minimum (the
-    /// cache holds *every* arm at `run_time`, seq-sorted, and any arm at
-    /// an earlier instant clears it). Stale fronts — served, cancelled,
-    /// or superseded slots — are skipped in place; an exhausted cache is
-    /// rebuilt with one scan over the lane, which a whole lockstep
-    /// instant then amortizes.
-    #[inline]
-    fn lane_min_batched(&mut self) -> Option<(u64, u64, usize)> {
         loop {
             while let Some(&(seq, slot)) = self.run.get(self.run_head) {
                 let s = slot as usize;
@@ -1056,8 +755,6 @@ impl<E> EventQueue<E> {
             .take()
             .expect("armed lane slot without an event");
         self.lane_time[s] = u64::MAX;
-        self.slots[s] = None;
-        self.lane_memo_valid = false;
         self.count -= 1;
         self.served_slot = s as u32;
         debug_assert!(time >= self.now, "queue order violated");
@@ -1065,39 +762,48 @@ impl<E> EventQueue<E> {
         ScheduledEvent { time, event }
     }
 
-    /// Serves a node-based (wheel/batch/early) entry: frees the node and
-    /// advances the clock. Live slot-owned entries only ever live in the
-    /// lane, so the node cannot own a slot.
+    /// Serves a node (already unlinked from its container): frees it and
+    /// advances the clock.
     fn finish_node(&mut self, i: u32) -> ScheduledEvent<E> {
-        let (time, _slot, event) = self.take_node(i);
-        debug_assert!(_slot == NO_SLOT, "live slot entry outside the lane");
+        let n = &mut self.nodes[i as usize];
+        let time = n.time;
+        let event = n.event.take().expect("taking a freed node");
+        n.next = self.free_head;
+        self.free_head = i;
+        self.count -= 1;
         self.served_slot = NO_SLOT;
         debug_assert!(time >= self.now, "queue order violated");
         self.now = time;
         ScheduledEvent { time, event }
     }
 
-    /// True iff `(t, seq)` strictly precedes every batch and early-heap
-    /// resident. Both keys are O(1): the batch holds a single instant with
-    /// its front minimal by seq, and the early heap mirrors its top's key.
-    /// A dead resident's key is a valid conservative bound — comparing
-    /// against it can only send us down the slow path, never serve out of
-    /// order.
+    /// True iff `(t, seq)` strictly precedes the batch front (and so the
+    /// whole batch).
     #[inline]
-    fn precedes_pending(&self, t: u64, seq: u64) -> bool {
-        (match self.batch.front() {
-            None => true,
-            Some(&i) => {
-                let n = &self.nodes[i as usize];
-                (t, seq) < (n.time.as_nanos(), n.seq)
-            }
-        }) && (match self.early.peek() {
-            None => true,
-            Some(r) => (t, seq) < (r.time.as_nanos(), r.seq),
+    fn precedes_batch(&self, t: u64, seq: u64) -> bool {
+        self.batch.front().is_none_or(|&i| {
+            let n = &self.nodes[i as usize];
+            (t, seq) < (n.time.as_nanos(), n.seq)
         })
     }
 
-    /// Time of the earliest pending live event, if any. An instant
+    /// True iff a lane entry at `lt` provably precedes everything wheel-
+    /// or overflow-resident: against the cached bound, else against a
+    /// fresh candidate scan, whose bound is then cached.
+    fn lane_precedes_wheel(&mut self, lt: u64) -> bool {
+        if lt < self.wheel_lb {
+            return true;
+        }
+        let (best, _) = self.min_candidate();
+        let bound = best.map_or(self.overflow_min, |(bs, _, _)| bs.min(self.overflow_min));
+        if lt < bound {
+            self.wheel_lb = bound;
+            return true;
+        }
+        false
+    }
+
+    /// Time of the earliest pending event, if any. An instant
     /// mid-reordered-service reports its own time until its last
     /// stashed event is served.
     pub fn peek_time(&mut self) -> Option<SimTime> {
@@ -1112,90 +818,34 @@ impl<E> EventQueue<E> {
     /// already popped).
     fn peek_time_queue(&mut self) -> Option<SimTime> {
         let lane = self.lane_min();
-        if let Some((t, seq, _)) = lane {
-            if t < self.wheel_lb && self.precedes_pending(t, seq) {
-                return Some(SimTime::from_nanos(t));
-            }
-        }
-        self.peek_slow(lane)
-    }
-
-    fn peek_slow(&mut self, lane: Option<(u64, u64, usize)>) -> Option<SimTime> {
         loop {
-            while let Some(i) = self.early.peek().map(|r| r.node) {
-                if Self::node_is_live(&self.slots, &self.nodes[i as usize]) {
-                    let n = &self.nodes[i as usize];
-                    let nt = (n.time.as_nanos(), n.seq);
-                    return Some(SimTime::from_nanos(match lane {
-                        Some((lt, lseq, _)) if (lt, lseq) < nt => lt,
-                        _ => nt.0,
-                    }));
-                }
-                self.early.pop();
-                self.free_node(i);
-                self.dead -= 1;
-                self.count -= 1;
+            if let Some(&i) = self.batch.front() {
+                let n = &self.nodes[i as usize];
+                let nt = (n.time.as_nanos(), n.seq);
+                return Some(SimTime::from_nanos(match lane {
+                    Some((lt, lseq, _)) if (lt, lseq) < nt => lt,
+                    _ => nt.0,
+                }));
             }
-            while let Some(&i) = self.batch.front() {
-                if Self::node_is_live(&self.slots, &self.nodes[i as usize]) {
-                    let n = &self.nodes[i as usize];
-                    let nt = (n.time.as_nanos(), n.seq);
-                    return Some(SimTime::from_nanos(match lane {
-                        Some((lt, lseq, _)) if (lt, lseq) < nt => lt,
-                        _ => nt.0,
-                    }));
+            if let Some((lt, _, _)) = lane {
+                if self.lane_precedes_wheel(lt) {
+                    return Some(SimTime::from_nanos(lt));
                 }
-                self.batch.pop_front();
-                self.free_node(i);
-                self.dead -= 1;
-                self.count -= 1;
-            }
-            let Some((lt, lseq, _)) = lane else {
-                match self.refill() {
-                    Refill::Empty => return None,
-                    Refill::Direct(i) => {
-                        // Keep the event pending: a peek must not consume
-                        // it.
-                        self.batch.push_back(i);
-                        return Some(self.nodes[i as usize].time);
-                    }
-                    Refill::Batch => continue,
-                }
-            };
-            // Lane vs wheel: serve the lane time if it provably precedes
-            // all wheel content, raising the cached bound when the
-            // candidate scan can prove it without a refill.
-            if lt < self.wheel_lb {
-                return Some(SimTime::from_nanos(lt));
-            }
-            let (best, _) = self.min_candidate();
-            let bound = best.map_or(self.overflow_min, |(bs, _, _)| bs.min(self.overflow_min));
-            if lt < bound {
-                self.wheel_lb = bound;
-                return Some(SimTime::from_nanos(lt));
             }
             match self.refill() {
-                Refill::Empty => return Some(SimTime::from_nanos(lt)),
-                Refill::Direct(i) => {
-                    self.batch.push_back(i);
-                    let n = &self.nodes[i as usize];
-                    let t = if (lt, lseq) < (n.time.as_nanos(), n.seq) {
-                        lt
-                    } else {
-                        n.time.as_nanos()
-                    };
-                    return Some(SimTime::from_nanos(t));
-                }
-                Refill::Batch => continue,
+                Refill::Empty => return lane.map(|(lt, _, _)| SimTime::from_nanos(lt)),
+                // A peek must not consume the event: keep it pending.
+                Refill::Direct(i) => self.batch.push_back(i),
+                Refill::Batch => {}
             }
         }
     }
 
-    /// Pops the earliest live event and advances the clock to its time.
+    /// Pops the earliest event and advances the clock to its time.
     /// Under a non-FIFO [`OrderingPolicy`] the event served is the
-    /// policy's pick among every live event at the earliest instant;
-    /// the clock still advances identically (reordering permutes
-    /// within instants, never across them).
+    /// policy's pick among every event at the earliest instant; the
+    /// clock still advances identically (reordering permutes within
+    /// instants, never across them).
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         if self.reorder.is_some() {
             return self.pop_reordered();
@@ -1211,8 +861,8 @@ impl<E> EventQueue<E> {
         let lane = self.lane_min();
         if let Some((t, seq, s)) = lane {
             // Fast path: the lane minimum provably precedes all wheel
-            // content and every batch/early resident.
-            if t < self.wheel_lb && self.precedes_pending(t, seq) {
+            // content and the batch.
+            if t < self.wheel_lb && self.precedes_batch(t, seq) {
                 return Some(self.serve_lane(s));
             }
         }
@@ -1220,91 +870,52 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop path for everything the lane fast path cannot prove: arbitrates
-    /// the lane minimum against the batch, early heap and wheel in exact
-    /// `(time, seq)` order, dropping dead entries encountered on the way.
+    /// the lane minimum against the batch and the wheel in exact
+    /// `(time, seq)` order.
     fn pop_slow(&mut self, lane: Option<(u64, u64, usize)>) -> Option<ScheduledEvent<E>> {
         loop {
-            // Early entries all precede the batch instant, which precedes
-            // everything still wheel- or overflow-resident.
-            while let Some(i) = self.early.peek().map(|r| r.node) {
-                if Self::node_is_live(&self.slots, &self.nodes[i as usize]) {
-                    let n = &self.nodes[i as usize];
-                    if let Some((lt, lseq, s)) = lane {
-                        if (lt, lseq) < (n.time.as_nanos(), n.seq) {
-                            return Some(self.serve_lane(s));
-                        }
-                    }
-                    self.early.pop();
-                    self.count -= 1;
-                    return Some(self.finish_node(i));
-                }
-                self.early.pop();
-                self.free_node(i);
-                self.dead -= 1;
-                self.count -= 1;
-            }
-            while let Some(&i) = self.batch.front() {
-                if Self::node_is_live(&self.slots, &self.nodes[i as usize]) {
-                    let n = &self.nodes[i as usize];
-                    if let Some((lt, lseq, s)) = lane {
-                        if (lt, lseq) < (n.time.as_nanos(), n.seq) {
-                            return Some(self.serve_lane(s));
-                        }
-                    }
-                    self.batch.pop_front();
-                    self.count -= 1;
-                    return Some(self.finish_node(i));
-                }
-                self.batch.pop_front();
-                self.free_node(i);
-                self.dead -= 1;
-                self.count -= 1;
-            }
-            let Some((lt, lseq, s)) = lane else {
-                match self.refill() {
-                    Refill::Empty => return None,
-                    Refill::Direct(i) => {
-                        // Liveness was already checked on the fast path.
-                        self.count -= 1;
-                        return Some(self.finish_node(i));
-                    }
-                    Refill::Batch => continue,
-                }
-            };
-            // Lane vs wheel. Raise the cached bound to the candidate-scan
-            // bound when that already proves the lane first, before paying
-            // for a refill.
-            if lt < self.wheel_lb {
-                return Some(self.serve_lane(s));
-            }
-            let (best, _) = self.min_candidate();
-            let bound = best.map_or(self.overflow_min, |(bs, _, _)| bs.min(self.overflow_min));
-            if lt < bound {
-                self.wheel_lb = bound;
-                return Some(self.serve_lane(s));
-            }
-            match self.refill() {
-                Refill::Empty => return Some(self.serve_lane(s)),
-                Refill::Direct(i) => {
-                    let n = &self.nodes[i as usize];
+            // The batch front precedes everything wheel- or
+            // overflow-resident.
+            if let Some(&i) = self.batch.front() {
+                let n = &self.nodes[i as usize];
+                if let Some((lt, lseq, s)) = lane {
                     if (lt, lseq) < (n.time.as_nanos(), n.seq) {
-                        // The lane wins; the surfaced node stays pending.
-                        self.batch.push_back(i);
                         return Some(self.serve_lane(s));
                     }
-                    self.count -= 1;
+                }
+                self.batch.pop_front();
+                return Some(self.finish_node(i));
+            }
+            if let Some((lt, _, s)) = lane {
+                if self.lane_precedes_wheel(lt) {
+                    return Some(self.serve_lane(s));
+                }
+            }
+            match self.refill() {
+                Refill::Empty => return lane.map(|(_, _, s)| self.serve_lane(s)),
+                Refill::Direct(i) => {
+                    let n = &self.nodes[i as usize];
+                    if let Some((lt, lseq, s)) = lane {
+                        if (lt, lseq) < (n.time.as_nanos(), n.seq) {
+                            // The lane wins; the surfaced node stays
+                            // pending, now below a cursor the clock
+                            // trails.
+                            self.batch.push_back(i);
+                            return Some(self.serve_lane(s));
+                        }
+                    }
                     return Some(self.finish_node(i));
                 }
-                Refill::Batch => continue,
+                Refill::Batch => {}
             }
         }
     }
 
-    /// Policy-directed pop: pulls every live event of the earliest
-    /// pending instant into the stash via the FIFO path (so pull order
-    /// is seq order), then serves the policy's pick among the live
-    /// stash entries. The merge step re-runs on every pop of the open
-    /// instant, so same-instant late-comers scheduled by handlers of
+    /// Policy-directed pop: pulls every event of the earliest pending
+    /// instant into the stash via the FIFO path (so pull order is seq
+    /// order), then serves the policy's pick among the live stash
+    /// entries. The merge step re-runs on every pop of the open instant,
+    /// so same-instant late-comers scheduled by handlers of
     /// already-served events join the candidate set — a legal pick,
     /// since their causes have fired, exactly as the FIFO batch would
     /// have appended them.
@@ -1393,17 +1004,13 @@ impl<E> EventQueue<E> {
         self.occ_levels = 0;
         self.overflow_head = NIL;
         self.overflow_min = u64::MAX;
-        self.early.clear();
         self.batch.clear();
         self.wheel_lb = u64::MAX;
         self.count = 0;
-        self.slots.iter_mut().for_each(|s| *s = None);
         self.lane_time.fill(u64::MAX);
         self.lane_event.iter_mut().for_each(|e| *e = None);
-        self.lane_memo_valid = false;
         self.run.clear();
         self.run_head = 0;
-        self.dead = 0;
         self.stash.clear();
         self.stash_live = 0;
     }
@@ -1412,19 +1019,42 @@ impl<E> EventQueue<E> {
     /// violation found (empty = consistent). O(entries + buckets + slots);
     /// meant for the invariant-checking harness, not the hot path.
     ///
-    /// Checked: the dead-entry counter matches the number of actually-dead
-    /// entries; the total-entry counter matches (lane entries included);
-    /// every armed slot owns **exactly one** live entry — its lane entry —
-    /// and a disarmed slot owns none (node-based slot entries are dead by
-    /// the definition of liveness, and its lane cell must be vacant); no
-    /// live entry is scheduled before the queue clock; no live wheel entry
-    /// trails the wheel cursor or undercuts `wheel_lb`; occupancy bitmaps
-    /// mirror bucket contents; `overflow_min` bounds the overflow list
-    /// from below.
+    /// Checked: every lane cell is armed (time set, event present) or
+    /// vacant (neither), never before the clock; the entry counter
+    /// matches the entries actually stored; occupancy bitmaps mirror
+    /// bucket contents and `overflow_min` bounds the overflow list from
+    /// below; wheel and overflow entries lie strictly past the cursor and
+    /// at or past `wheel_lb`; the batch is sorted by `(time, seq)`, at or
+    /// below the cursor and not before the clock; the instant-run cache
+    /// holds every armed entry of its instant in seq order; the reorder
+    /// stash is consistent with its counter and the lane.
     pub fn validate(&self) -> Vec<String> {
         let mut violations = Vec::new();
-        // (node index, is wheel-resident) across every container.
-        let mut entries: Vec<(u32, bool)> = Vec::new();
+        let mut stored = 0usize;
+        // The fast lane.
+        for (s, &t) in self.lane_time.iter().enumerate() {
+            let has_event = self.lane_event[s].is_some();
+            if t == u64::MAX {
+                if has_event {
+                    violations.push(format!("slot {s}'s vacant lane cell holds an event"));
+                }
+                continue;
+            }
+            stored += 1;
+            if !has_event {
+                violations.push(format!(
+                    "slot {s} armed at {t}ns but its lane cell is empty"
+                ));
+            }
+            if t < self.now.as_nanos() {
+                violations.push(format!(
+                    "lane entry of slot {s} at {t}ns is before the clock {}",
+                    self.now
+                ));
+            }
+        }
+        // Wheel buckets and the overflow list.
+        let mut wheel_nodes: Vec<u32> = Vec::new();
         for (li, lv) in self.levels.iter().enumerate() {
             for (idx, &head) in lv.heads.iter().enumerate() {
                 let bit_set = self.occ[li] & (1u64 << idx) != 0;
@@ -1436,7 +1066,7 @@ impl<E> EventQueue<E> {
                 }
                 let mut cur = head;
                 while cur != NIL {
-                    entries.push((cur, true));
+                    wheel_nodes.push(cur);
                     cur = self.nodes[cur as usize].next;
                 }
             }
@@ -1450,113 +1080,54 @@ impl<E> EventQueue<E> {
                     n.seq, n.time, self.overflow_min
                 ));
             }
-            entries.push((cur, false));
+            wheel_nodes.push(cur);
             cur = n.next;
         }
-        for r in self.early.iter() {
-            entries.push((r.node, false));
-        }
-        for &i in &self.batch {
-            entries.push((i, false));
-        }
-        let mut live_per_slot = vec![0usize; self.slots.len()];
-        let mut dead = 0usize;
-        for &(i, wheel_resident) in &entries {
+        for &i in &wheel_nodes {
             let n = &self.nodes[i as usize];
-            if Self::node_is_live(&self.slots, n) {
-                if n.slot != NO_SLOT {
-                    live_per_slot[n.slot as usize] += 1;
-                }
-                if n.time < self.now {
-                    violations.push(format!(
-                        "live entry (seq {}) at {} is before the clock {}",
-                        n.seq, n.time, self.now
-                    ));
-                }
-                if wheel_resident && n.time.as_nanos() < self.wheel_now {
-                    violations.push(format!(
-                        "live wheel entry (seq {}) at {} is before the cursor {}ns",
-                        n.seq, n.time, self.wheel_now
-                    ));
-                }
-                if wheel_resident && n.time.as_nanos() < self.wheel_lb {
-                    violations.push(format!(
-                        "live wheel entry (seq {}) at {} undercuts wheel_lb {}ns",
-                        n.seq, n.time, self.wheel_lb
-                    ));
-                }
-            } else {
-                dead += 1;
-            }
-        }
-        // The fast lane: an armed slot's live entry is its lane cell, and
-        // a disarmed slot's lane cell must be vacant.
-        let mut lane_entries = 0usize;
-        for (s, armed) in self.slots.iter().enumerate() {
-            let t = self.lane_time[s];
-            match armed {
-                Some(seq) if t != u64::MAX => {
-                    lane_entries += 1;
-                    if self.lane_seq[s] == *seq {
-                        // Liveness is seq-registry match, for lane cells
-                        // exactly as for nodes.
-                        live_per_slot[s] += 1;
-                    } else {
-                        violations.push(format!(
-                            "slot {s} armed with seq {seq} but its lane entry has seq {}",
-                            self.lane_seq[s]
-                        ));
-                    }
-                    if self.lane_event[s].is_none() {
-                        violations.push(format!(
-                            "slot {s} armed (seq {seq}) but its lane entry is empty"
-                        ));
-                    }
-                    if t < self.now.as_nanos() {
-                        violations.push(format!(
-                            "lane entry of slot {s} (seq {seq}) at {t}ns is before the clock {}",
-                            self.now
-                        ));
-                    }
-                }
-                Some(seq) => {
-                    violations.push(format!(
-                        "slot {s} armed (seq {seq}) but its lane cell is vacant"
-                    ));
-                }
-                None => {
-                    if t != u64::MAX {
-                        violations.push(format!(
-                            "slot {s} disarmed but its lane cell is armed at {t}ns"
-                        ));
-                    }
-                    if self.lane_event[s].is_some() {
-                        violations.push(format!("slot {s}'s vacant lane cell holds an event"));
-                    }
-                }
-            }
-        }
-        if dead != self.dead {
-            violations.push(format!(
-                "dead counter {} != {} actually-dead heap entries",
-                self.dead, dead
-            ));
-        }
-        if entries.len() + lane_entries != self.count {
-            violations.push(format!(
-                "entry counter {} != {} entries actually stored",
-                self.count,
-                entries.len() + lane_entries
-            ));
-        }
-        for (i, armed) in self.slots.iter().enumerate() {
-            let live = live_per_slot[i];
-            if armed.is_some() && live != 1 {
+            if n.time.as_nanos() <= self.wheel_now {
                 violations.push(format!(
-                    "slot {i} armed (seq {:?}) but owns {live} live entries",
-                    armed
+                    "wheel entry (seq {}) at {} is not past the cursor {}ns",
+                    n.seq, n.time, self.wheel_now
                 ));
             }
+            if n.time.as_nanos() < self.wheel_lb {
+                violations.push(format!(
+                    "wheel entry (seq {}) at {} undercuts wheel_lb {}ns",
+                    n.seq, n.time, self.wheel_lb
+                ));
+            }
+        }
+        // The batch.
+        let mut prev: Option<(SimTime, u64)> = None;
+        for &i in &self.batch {
+            let n = &self.nodes[i as usize];
+            let key = (n.time, n.seq);
+            if prev.is_some_and(|p| p >= key) {
+                violations.push(format!(
+                    "batch out of (time, seq) order: {prev:?} before {key:?}"
+                ));
+            }
+            prev = Some(key);
+            if n.time.as_nanos() > self.wheel_now {
+                violations.push(format!(
+                    "batch entry (seq {}) at {} is past the cursor {}ns",
+                    n.seq, n.time, self.wheel_now
+                ));
+            }
+            if n.time < self.now {
+                violations.push(format!(
+                    "batch entry (seq {}) at {} is before the clock {}",
+                    n.seq, n.time, self.now
+                ));
+            }
+        }
+        stored += wheel_nodes.len() + self.batch.len();
+        if stored != self.count {
+            violations.push(format!(
+                "entry counter {} != {stored} entries actually stored",
+                self.count
+            ));
         }
         // The instant-run cache: seqs strictly ascending, every
         // still-matching member sits at the open instant, and — the
@@ -1611,7 +1182,8 @@ impl<E> EventQueue<E> {
             violations.push("live stash entries under the FIFO policy".into());
         }
         for e in &self.stash {
-            if e.event.is_some() && e.slot != NO_SLOT && self.slots[e.slot as usize].is_some() {
+            if e.event.is_some() && e.slot != NO_SLOT && self.lane_time[e.slot as usize] != u64::MAX
+            {
                 violations.push(format!(
                     "slot {} armed while its same-instant event awaits reordered service",
                     e.slot
@@ -1621,8 +1193,8 @@ impl<E> EventQueue<E> {
         violations
     }
 
-    /// Advances the clock to `t` without processing events. Panics if a
-    /// live event earlier than `t` is still pending (that event must be
+    /// Advances the clock to `t` without processing events. Panics if an
+    /// event earlier than `t` is still pending (that event must be
     /// popped first). Used to settle the clock at a run deadline when the
     /// next event lies beyond it.
     pub fn advance_to(&mut self, t: SimTime) {
@@ -1659,62 +1231,6 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.event).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    /// Drives one randomized slot-heavy schedule/cancel/pop interleaving
-    /// through a queue, returning the full pop trace. The traffic shape
-    /// mimics the scheduler: lockstep bursts of slot arms at a shared
-    /// instant (the run cache's target), re-arms and cancels landing
-    /// mid-instant, plus plain events at nearby times.
-    fn slot_traffic_trace(seed: u64, batched: bool) -> Vec<(SimTime, u32)> {
-        let mut q = EventQueue::new();
-        q.set_instant_batching(batched);
-        let slots: Vec<SlotId> = (0..8).map(|_| q.alloc_slot()).collect();
-        let mut rng = SimRng::new(seed);
-        let mut tag = 0u32;
-        let mut trace = Vec::new();
-        for _ in 0..400 {
-            match rng.next_below(10) {
-                // Lockstep burst: arm several slots at one shared instant.
-                0..=3 => {
-                    let t = q.now() + SimDuration::from_nanos(rng.next_below(3));
-                    for _ in 0..=rng.next_below(slots.len() as u64) {
-                        let s = slots[rng.next_below(slots.len() as u64) as usize];
-                        q.schedule_in_slot(s, t, tag);
-                        tag += 1;
-                    }
-                }
-                4..=5 => {
-                    let t = q.now() + SimDuration::from_nanos(rng.next_below(50));
-                    q.schedule(t, tag);
-                    tag += 1;
-                }
-                6 => {
-                    let s = slots[rng.next_below(slots.len() as u64) as usize];
-                    q.cancel_slot(s);
-                }
-                _ => {
-                    if let Some(e) = q.pop() {
-                        trace.push((e.time, e.event));
-                    }
-                }
-            }
-            let violations = q.validate();
-            assert!(violations.is_empty(), "invariants violated: {violations:?}");
-        }
-        while let Some(e) = q.pop() {
-            trace.push((e.time, e.event));
-        }
-        trace
-    }
-
-    #[test]
-    fn instant_batching_pops_identically_to_lane_scan() {
-        for seed in 0..20 {
-            let batched = slot_traffic_trace(seed, true);
-            let scanned = slot_traffic_trace(seed, false);
-            assert_eq!(batched, scanned, "pop traces diverged at seed {seed}");
-        }
     }
 
     #[test]
@@ -1765,20 +1281,19 @@ mod tests {
     }
 
     #[test]
-    fn past_panic_names_the_event_and_dead_count() {
+    fn past_panic_names_the_event() {
         let mut q = EventQueue::new();
         let s = q.alloc_slot();
         q.schedule_in_slot(s, SimTime::from_millis(1), "boundary");
-        q.cancel_slot(s); // one dead entry
+        q.cancel_slot(s);
         q.schedule(SimTime::from_millis(10), "later");
-        q.pop(); // clock at 10 ms (the dead entry was purged)
+        q.pop(); // clock at 10 ms
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             q.schedule(SimTime::from_millis(9), "timewarp");
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
         assert!(msg.contains("\"timewarp\""), "event repr in panic: {msg}");
-        assert!(msg.contains("dead entries pending"), "dead count: {msg}");
     }
 
     #[test]
@@ -1827,10 +1342,10 @@ mod tests {
         let s = q.alloc_slot();
         q.schedule_in_slot(s, SimTime::from_millis(5), "old");
         q.schedule_in_slot(s, SimTime::from_millis(2), "new");
-        assert_eq!(q.len(), 1, "superseded entry is dead");
-        assert_eq!(q.dead_len(), 1);
+        assert_eq!(q.len(), 1, "superseded entry is gone");
+        assert_eq!(q.cancellations(), 1);
         assert_eq!(q.pop().unwrap().event, "new");
-        assert_eq!(q.pop(), None, "the dead entry never fires");
+        assert_eq!(q.pop(), None, "the superseded entry never fires");
         assert!(!q.slot_armed(s));
     }
 
@@ -1856,41 +1371,22 @@ mod tests {
         q.schedule_in_slot(s, SimTime::from_millis(1), "bang");
         assert_eq!(q.pop().unwrap().event, "bang");
         assert!(!q.slot_armed(s));
-        // Cancelling after the fire is a no-op, not a phantom death.
+        // Cancelling after the fire is a no-op, not a phantom cancel.
         q.cancel_slot(s);
-        assert_eq!(q.dead_len(), 0);
+        assert_eq!(q.cancellations(), 0);
+        assert!(q.validate().is_empty(), "{:?}", q.validate());
     }
 
     #[test]
-    fn dead_ratio_reflects_cancellations_and_compaction_resets_it() {
-        let mut q = EventQueue::new();
-        let slots: Vec<SlotId> = (0..COMPACT_MIN_DEAD + 1).map(|_| q.alloc_slot()).collect();
-        for (i, s) in slots.iter().enumerate() {
-            q.schedule_in_slot(*s, SimTime::from_millis(i as u64 + 1), i);
-        }
-        assert_eq!(q.dead_ratio(), 0.0);
-        // Kill all but one; the final cancellation crosses the 50% + minimum
-        // thresholds and compacts.
-        for s in &slots[1..] {
-            q.cancel_slot(*s);
-        }
-        assert!(q.compactions() >= 1, "compaction triggered");
-        assert_eq!(q.dead_len(), 0);
-        assert_eq!(q.dead_ratio(), 0.0);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().event, 0);
-    }
-
-    #[test]
-    fn same_instant_fifo_survives_compaction() {
-        // Schedule interleaved live plain events and slot events at one
-        // instant, cancel enough slot entries to force a compaction, and
-        // check the survivors still pop in insertion order.
+    fn same_instant_fifo_survives_cancellations() {
+        // Schedule interleaved plain events and slot events at one
+        // instant, cancel every slot entry, and check the survivors still
+        // pop in insertion order.
         let mut q = EventQueue::new();
         let t = SimTime::from_millis(3);
         let mut doomed = Vec::new();
         let mut expect = Vec::new();
-        for i in 0..(3 * COMPACT_MIN_DEAD as u32) {
+        for i in 0..96u32 {
             if i % 2 == 0 {
                 let s = q.alloc_slot();
                 q.schedule_in_slot(s, t, i);
@@ -1903,9 +1399,13 @@ mod tests {
         for s in doomed {
             q.cancel_slot(s);
         }
-        assert!(q.compactions() >= 1, "cancellations must compact the heap");
+        assert_eq!(q.cancellations(), 48);
+        assert_eq!(q.len(), expect.len());
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.event).collect();
-        assert_eq!(order, expect, "FIFO within the instant, dead entries gone");
+        assert_eq!(
+            order, expect,
+            "FIFO within the instant, cancelled entries gone"
+        );
     }
 
     #[test]
@@ -1914,7 +1414,7 @@ mod tests {
         let s = q.alloc_slot();
         q.schedule(SimTime::from_millis(1), "plain");
         q.schedule_in_slot(s, SimTime::from_millis(5), "old");
-        q.schedule_in_slot(s, SimTime::from_millis(2), "new"); // one dead entry
+        q.schedule_in_slot(s, SimTime::from_millis(2), "new"); // supersedes "old"
         assert!(q.validate().is_empty(), "{:?}", q.validate());
         q.pop();
         q.pop();
@@ -1922,24 +1422,24 @@ mod tests {
     }
 
     #[test]
-    fn validate_flags_corrupted_dead_counter_and_phantom_arm() {
+    fn validate_flags_corrupted_entry_counter_and_phantom_arm() {
         let mut q = EventQueue::new();
         let s = q.alloc_slot();
         q.schedule_in_slot(s, SimTime::from_millis(1), ());
-        q.schedule_in_slot(s, SimTime::from_millis(2), ());
-        // Corrupt the dead counter.
-        q.dead = 0;
+        q.schedule(SimTime::from_millis(2), ());
+        // Corrupt the entry counter.
+        q.count = 1;
         let v = q.validate();
         assert!(
-            v.iter().any(|m| m.contains("dead counter")),
-            "dead-counter violation not reported: {v:?}"
+            v.iter().any(|m| m.contains("entry counter")),
+            "entry-counter violation not reported: {v:?}"
         );
-        q.dead = 1;
-        // Arm the slot at a sequence number with no queue entry behind it.
-        q.slots[0] = Some(u64::MAX);
+        q.count = 2;
+        // Arm the lane cell without an event behind it.
+        q.lane_event[0] = None;
         let v = q.validate();
         assert!(
-            v.iter().any(|m| m.contains("owns 0 live entries")),
+            v.iter().any(|m| m.contains("lane cell is empty")),
             "phantom-arm violation not reported: {v:?}"
         );
     }
@@ -1956,21 +1456,21 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_dead_entries() {
+    fn peek_time_skips_cancelled_entries() {
         let mut q = EventQueue::new();
         let s = q.alloc_slot();
-        q.schedule_in_slot(s, SimTime::from_millis(1), "dead");
+        q.schedule_in_slot(s, SimTime::from_millis(1), "cancelled");
         q.schedule(SimTime::from_millis(4), "live");
         q.cancel_slot(s);
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(4)));
-        // advance_to must likewise see through the carcass.
+        // advance_to must likewise ignore the cancelled entry.
         q.advance_to(SimTime::from_millis(3));
         assert_eq!(q.now(), SimTime::from_millis(3));
     }
 
     // ------------------------------------------------------------------
-    // Wheel-specific coverage: level boundaries, the overflow list, the
-    // early heap, and batch appends.
+    // Wheel-specific coverage: level boundaries, the overflow list,
+    // below-cursor merges, and batch appends.
 
     #[test]
     fn pops_in_order_across_level_boundaries() {
@@ -2030,7 +1530,7 @@ mod tests {
     fn schedule_below_cursor_after_peek_pops_first() {
         // Peeking walks the wheel cursor to the next event; a later
         // schedule between the external clock and that cursor must still
-        // pop first (the early-heap path).
+        // pop first (merged into the batch below the cursor).
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(10), "late");
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(10)));
@@ -2038,6 +1538,54 @@ mod tests {
         q.schedule(SimTime::from_micros(1), "soon");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.event).collect();
         assert_eq!(order, vec!["soon", "mid", "late"]);
+    }
+
+    #[test]
+    fn schedule_below_cursor_after_lane_win_merges_in_order() {
+        // A pop can walk the cursor past the clock too: refill surfaces a
+        // wheel event, a lane entry beats it, and the surfaced event
+        // stays pending above the new clock.
+        let mut q = EventQueue::new();
+        let s = q.alloc_slot();
+        q.schedule(SimTime::from_nanos(100), "a");
+        q.schedule(SimTime::from_nanos(190), "b");
+        // Served straight off the wheel; the cached bound drops to the
+        // start of b's bucket (128 ns).
+        assert_eq!(q.pop().unwrap().event, "a");
+        // 150 ns is past the cached bound, so the pop refills to b at
+        // 190 ns before the lane entry wins.
+        q.schedule_in_slot(s, SimTime::from_nanos(150), "lane");
+        assert_eq!(q.pop().unwrap().event, "lane");
+        assert_eq!(q.now(), SimTime::from_nanos(150));
+        assert!(
+            q.wheel_now > q.now().as_nanos(),
+            "cursor ran ahead of the clock"
+        );
+        // Plain events at two distinct instants below the cursor, one at
+        // the clock itself, one at the cursor, and a slot re-arm.
+        for (t, e) in [(170, "c"), (160, "d"), (150, "e"), (190, "f"), (160, "g")] {
+            q.schedule(SimTime::from_nanos(t), e);
+            assert!(q.validate().is_empty(), "{:?}", q.validate());
+        }
+        q.schedule_in_slot(s, SimTime::from_nanos(165), "rearm");
+        assert!(q.validate().is_empty(), "{:?}", q.validate());
+        let mut order = Vec::new();
+        while let Some(e) = q.pop() {
+            order.push((e.time.as_nanos(), e.event));
+            assert!(q.validate().is_empty(), "{:?}", q.validate());
+        }
+        assert_eq!(
+            order,
+            vec![
+                (150, "e"),
+                (160, "d"),
+                (160, "g"),
+                (165, "rearm"),
+                (170, "c"),
+                (190, "b"),
+                (190, "f"),
+            ]
+        );
     }
 
     #[test]
