@@ -643,8 +643,11 @@ impl NativeSpeedBalancer {
         // local core, as in the simulator: cores carrying equal thread
         // counts publish exactly equal speeds, and a fixed low-index-first
         // scan would resolve every tie toward the same core, starving the
-        // higher-indexed slow queues.
-        let mut best: Option<(f64, usize)> = None;
+        // higher-indexed slow queues. As in the simulator, a core with no
+        // live thread is skipped inside the scan, and an activation whose
+        // only sub-threshold candidates were blocked reports `Blocked`.
+        let mut best: Option<(f64, usize, i32)> = None;
+        let mut saw_blocked = false;
         for off in 1..cores.len() {
             let k = (slot + off) % cores.len();
             let cpu = cores[k];
@@ -659,30 +662,33 @@ impl NativeSpeedBalancer {
                 continue;
             }
             if table.blocks[k].active(now, span) {
+                saw_blocked = true;
                 continue;
             }
-            if best.is_none_or(|(bs, _)| s_k < bs) {
-                best = Some((s_k, k));
+            // The thread to pull is the core's least-migrated one.
+            let Some((&tid, _)) = table
+                .live
+                .iter()
+                .filter(|(_, s)| s.core == cpu)
+                .min_by_key(|(tid, s)| (s.migrations, **tid))
+            else {
+                continue;
+            };
+            if best.is_none_or(|(bs, _, _)| s_k < bs) {
+                best = Some((s_k, k, tid));
             }
         }
-        let Some((best_s_k, victim_slot)) = best else {
+        let Some((best_s_k, victim_slot, tid)) = best else {
             drop(table);
-            activation(s_local, s_global, ActivationOutcome::NoCandidate);
+            let outcome = if saw_blocked {
+                ActivationOutcome::Blocked
+            } else {
+                ActivationOutcome::NoCandidate
+            };
+            activation(s_local, s_global, outcome);
             return;
         };
         let victim_cpu = cores[victim_slot];
-
-        // Pull the least-migrated thread from the victim core.
-        let Some((&tid, _)) = table
-            .live
-            .iter()
-            .filter(|(_, s)| s.core == victim_cpu)
-            .min_by_key(|(tid, s)| (s.migrations, **tid))
-        else {
-            drop(table);
-            activation(s_local, s_global, ActivationOutcome::NoCandidate);
-            return;
-        };
         match self.src.pin_to_cpu(tid, local_cpu) {
             Ok(()) => {}
             Err(e) => {
@@ -1066,6 +1072,88 @@ mod tests {
         for (tid, cpu) in [(1, 0), (5, 0), (4, 3), (8, 3), (7, 2)] {
             assert_eq!(mock.thread_cpu(tid), Some(cpu), "tid {tid} stays put");
         }
+    }
+
+    #[test]
+    fn victim_scan_skips_a_core_left_without_threads() {
+        // Seven threads on four cores: cores 0-2 carry two each and publish
+        // 0.5. Both of core 0's threads then exit and the adopt pass
+        // forgets them, so core 0 keeps its stale 0.5 with nothing to pull.
+        // Core 3 (1.0) must skip it inside the scan and pull from the next
+        // core in ring order; a scan that stops at core 0 pulls nothing.
+        let mut b = MockProc::builder(960, 4);
+        for tid in 1..=7 {
+            b = b.thread(tid);
+        }
+        let mock = Arc::new(b.build());
+        let cfg = quick_cfg();
+        let bal = NativeSpeedBalancer::attach_with_source(
+            mock.pid(),
+            cfg.clone(),
+            mock.clone(),
+            mock.topology(),
+        )
+        .expect("attach");
+        let cores = bal.managed_cores();
+        let shared = Shared::new(&cores, None);
+        assert_eq!(bal.adopt_threads(&shared, &cores), 7);
+        mock.sleep(cfg.interval);
+        for slot in 0..3 {
+            bal.balance_once(&shared, &cores, slot, Duration::ZERO);
+        }
+        mock.exit_thread(1);
+        mock.exit_thread(5);
+        assert_eq!(bal.adopt_threads(&shared, &cores), 0);
+        bal.balance_once(&shared, &cores, 3, Duration::ZERO);
+        assert_eq!(shared.stats.migrations.load(Ordering::Relaxed), 1);
+        assert_eq!(mock.thread_cpu(2), Some(3), "core 1's first thread pulled");
+    }
+
+    #[test]
+    fn blocked_candidates_report_blocked() {
+        // Four threads on three cores: core 0 carries two (0.5). Core 1
+        // pulls one of them, which blocks core 0. Core 2 then finds core
+        // 0's published 0.5 its only sub-threshold candidate, skipped for
+        // the block alone: the outcome is `Blocked`, as in the simulator.
+        let mut b = MockProc::builder(970, 3);
+        for tid in 1..=4 {
+            b = b.thread(tid);
+        }
+        let mock = Arc::new(b.build());
+        let cfg = quick_cfg();
+        let bal = NativeSpeedBalancer::attach_with_source(
+            mock.pid(),
+            cfg.clone(),
+            mock.clone(),
+            mock.topology(),
+        )
+        .expect("attach");
+        let cores = bal.managed_cores();
+        let shared = Shared::new(&cores, Some(TraceConfig::default()));
+        assert_eq!(bal.adopt_threads(&shared, &cores), 4);
+        mock.sleep(cfg.interval);
+        for slot in 0..3 {
+            bal.balance_once(&shared, &cores, slot, Duration::ZERO);
+        }
+        assert_eq!(shared.stats.migrations.load(Ordering::Relaxed), 1);
+        assert_eq!(mock.thread_cpu(1), Some(1), "core 1 pulled from core 0");
+        let mut trace = shared.trace.as_ref().expect("traced").lock();
+        trace.flush();
+        let outcomes: Vec<_> = trace
+            .records()
+            .filter_map(|rec| match rec.event {
+                TraceEvent::BalancerActivation { outcome, .. } => Some((rec.core.0, outcome)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            outcomes,
+            [
+                (0, ActivationOutcome::BelowAverage),
+                (1, ActivationOutcome::Pulled),
+                (2, ActivationOutcome::Blocked),
+            ]
+        );
     }
 
     #[test]

@@ -33,7 +33,8 @@
 
 use speedbal_native::balancer::{NativeConfig, NativeSpeedBalancer, NativeStats};
 use speedbal_native::topo::parse_cpulist;
-use speedbal_trace::{export_chrome, TraceConfig};
+use speedbal_trace::{export_chrome_to, TraceConfig};
+use std::fs::File;
 use std::process::{exit, Command};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -58,7 +59,7 @@ fn run_balancer(
         None => bal.run(stop),
         Some(path) => {
             let (stats, trace) = bal.run_traced(stop, TraceConfig::default());
-            match std::fs::write(path, export_chrome(&trace)) {
+            match File::create(path).and_then(|f| export_chrome_to(&trace, f)) {
                 Ok(()) => eprintln!("speedbalancer: wrote trace to {path}"),
                 Err(e) => eprintln!("speedbalancer: cannot write {path}: {e}"),
             }

@@ -17,19 +17,56 @@
 //! places), matching the trace-event spec's `ts` unit.
 //!
 //! The exporter **streams**: [`export_chrome_to`] writes each event
-//! through a buffered writer as it is produced, so exporting a
-//! multi-gigabyte server trace never materializes the whole document in
-//! memory. [`export_chrome`] is a convenience wrapper that collects the
-//! same byte stream into a `String`.
+//! straight into a buffered writer, so exporting a multi-gigabyte server
+//! trace never materializes the whole document in memory, and no event
+//! allocates: numbers print from stack buffers and each task name is
+//! escaped once per export. [`export_chrome`] collects the same bytes.
 
 use crate::event::TraceEvent;
 use crate::sink::TraceBuffer;
 use speedbal_sim::SimTime;
-use std::fmt::Write as _;
+use std::collections::HashSet;
+use std::fmt::{self, Write as _};
 use std::io::{self, Write};
+use Val::{Float, Fmt, Int, Micros, Name, Str};
 
 const CORES_PID: u64 = 1;
 const TASKS_PID: u64 = 2;
+
+/// Below 2^51 ns, `ns as f64 / 1000.0` lies within 2^-12 µs of `ns / 1000`,
+/// far inside the 0.0005 µs that `{:.3}` rounds to, so `{:.3}` prints the
+/// exact quotient: `ns / 1000`, `.`, then `ns % 1000` in three digits.
+const EXACT_NS: u64 = 1 << 51;
+
+// Event templates: the JSON after an event's head, `@` marking each value.
+const PREEMPT: &str = r#","s":"t","name":"preempt @ by @","cat":"sched"}"#;
+const SCHED: &str = r#","s":"t","name":"@ @","cat":"sched"}"#;
+const MIGRATE: &str = concat!(
+    r#","s":"p","name":"migrate @","cat":"migration","#,
+    r#""args":{"from":"cpu@","to":"cpu@","tier":"@","reason":"@"}}"#
+);
+const TASK_SPEED: &str = r#","name":"speed @","args":{"speed":@}}"#;
+const CORE_SPEED: &str = r#","name":"speed cpu@","args":{"speed":@}}"#;
+const FREQ: &str = r#","name":"freq cpu@","args":{"ratio":@}}"#;
+const ACTIVATION: &str = concat!(
+    r#","s":"t","name":"@ @","cat":"balancer","#,
+    r#""args":{"local":@,"global":@,"jitter_ms":@}}"#
+);
+const BARRIER_SPAN: &str = r#","id":@,"name":"barrier ep @","cat":"barrier"}"#;
+const ARRIVE: &str = r#","s":"t","name":"arrive @ (@/@)","cat":"barrier"}"#;
+const FAULT: &str = concat!(
+    r#","s":"t","name":"fault @ @","cat":"fault","#,
+    r#""args":{"target":"@","kind":"@","attempt":@,"retrying":@}}"#
+);
+const QUARANTINE: &str = r#","s":"p","name":"quarantine @","cat":"fault","args":{"failures":@}}"#;
+const REQ_ARRIVE: &str =
+    r#","s":"t","name":"req @ arrive","cat":"request","args":{"arrival_us":@,"queued":@}}"#;
+const REQ_SERVE: &str = r#","s":"t","name":"serve req @.@","cat":"request","args":{"wait_ms":@}}"#;
+const REQ_DONE: &str = r#","s":"t","name":"req @ done","cat":"request","args":{"latency_ms":@}}"#;
+const REQ_DROP: &str = r#","s":"p","name":"drop req @","cat":"request","args":{"reason":"@"}}"#;
+/// A whole `M` metadata event naming thread `tid` of process `pid`.
+const THREAD_NAME: &str =
+    ",\n{\"ph\":\"M\",\"pid\":@,\"tid\":@,\"name\":\"thread_name\",\"args\":{\"name\":\"@\"}}";
 
 /// Escapes a string for embedding in a JSON string literal.
 fn esc(s: &str) -> String {
@@ -50,44 +87,121 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// Formats a SimTime as trace-event microseconds.
-fn ts(t: SimTime) -> String {
-    format!("{:.3}", t.as_nanos() as f64 / 1_000.0)
-}
-
-/// Formats an f64 as JSON (finite values only; NaN/inf clamp to 0).
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0".to_string()
-    }
-}
-
-/// Streams trace events as they are produced: one JSON object per line,
-/// comma-separated, no whole-document accumulation.
-struct Events<W: Write> {
-    w: W,
-    first: bool,
-}
-
-impl<W: Write> Events<W> {
-    fn push(&mut self, json_object_body: String) -> io::Result<()> {
-        if self.first {
-            self.first = false;
-        } else {
-            self.w.write_all(b",\n")?;
+/// Writes `n` in decimal from a stack digit buffer.
+fn write_int(w: &mut impl Write, mut n: u64) -> io::Result<()> {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return w.write_all(&buf[at..]);
         }
-        write!(self.w, "{{{json_object_body}}}")
+    }
+}
+
+/// Writes `ns` nanoseconds as trace-event microseconds, byte-identical to
+/// `{:.3}` of `ns as f64 / 1000.0` (which it falls back to from [`EXACT_NS`]).
+fn write_micros(w: &mut impl Write, ns: u64) -> io::Result<()> {
+    if ns >= EXACT_NS {
+        return write!(w, "{:.3}", ns as f64 / 1_000.0);
+    }
+    write_int(w, ns / 1_000)?;
+    let frac = ns % 1_000;
+    let digit = |d: u64| b'0' + (d % 10) as u8;
+    w.write_all(&[b'.', digit(frac / 100), digit(frac / 10), digit(frac)])
+}
+
+/// An index or count as an [`Val::Int`].
+fn int(n: usize) -> Val<'static> {
+    Int(n as u64)
+}
+
+/// A value filling one `@` hole of an event template.
+#[derive(Clone, Copy)]
+enum Val<'a> {
+    /// Text that needs no escaping (a label).
+    Str(&'a str),
+    Int(u64),
+    /// Nanoseconds, written as trace-event microseconds.
+    Micros(u64),
+    /// `{:.6}`, or `0` when NaN or infinite.
+    Float(f64),
+    /// A task's escaped name.
+    Name(usize),
+    /// Anything else `fmt` prints (the migration tier).
+    Fmt(fmt::Arguments<'a>),
+}
+
+/// The output stream and the names it has escaped so far.
+struct Events<'b, W: Write> {
+    w: io::BufWriter<W>,
+    buf: &'b TraceBuffer,
+    /// Escaped task names by id, each filled on first use: the registered
+    /// name, else the sink's `t<N>` fallback.
+    names: Vec<String>,
+}
+
+impl<W: Write> Events<'_, W> {
+    fn name(&mut self, t: usize) -> io::Result<()> {
+        if self.names.len() <= t {
+            self.names.resize(t + 1, String::new());
+        }
+        if self.names[t].is_empty() {
+            self.names[t] = esc(&self.buf.task_name(t));
+        }
+        self.w.write_all(self.names[t].as_bytes())
     }
 
-    fn meta(&mut self, pid: u64, tid: Option<u64>, name: &str, value: &str) -> io::Result<()> {
-        let tid_part = tid.map(|t| format!(",\"tid\":{t}")).unwrap_or_default();
-        self.push(format!(
-            "\"ph\":\"M\",\"pid\":{pid}{tid_part},\"name\":\"{name}\",\
-             \"args\":{{\"name\":\"{}\"}}",
-            esc(value)
-        ))
+    /// Writes `template` with each `@` replaced by the next of `values`.
+    fn fill(&mut self, template: &str, values: &[Val]) -> io::Result<()> {
+        debug_assert_eq!(template.matches('@').count(), values.len());
+        let mut values = values.iter();
+        for part in template.split('@') {
+            self.w.write_all(part.as_bytes())?;
+            match values.next().copied() {
+                Some(Str(s)) => self.w.write_all(s.as_bytes())?,
+                Some(Int(n)) => write_int(&mut self.w, n)?,
+                Some(Micros(ns)) => write_micros(&mut self.w, ns)?,
+                Some(Float(x)) if x.is_finite() => write!(self.w, "{x:.6}")?,
+                Some(Float(_)) => self.w.write_all(b"0")?,
+                Some(Name(t)) => self.name(t)?,
+                Some(Fmt(args)) => self.w.write_fmt(args)?,
+                None => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Starts the next event object: `"ph"`, `"pid"`, `"tid"` and `"ts"`.
+    #[inline(always)]
+    fn open(&mut self, ph: &str, pid: u64, tid: usize, at: SimTime) -> io::Result<()> {
+        self.w.write_all(b",\n{\"ph\":\"")?;
+        self.w.write_all(ph.as_bytes())?;
+        self.w.write_all(b"\",\"pid\":")?;
+        write_int(&mut self.w, pid)?;
+        self.w.write_all(b",\"tid\":")?;
+        write_int(&mut self.w, tid as u64)?;
+        self.w.write_all(b",\"ts\":")?;
+        write_micros(&mut self.w, at.as_nanos())
+    }
+
+    /// An `i` instant event on core `at.0`'s track, stamped `at.1`.
+    fn instant(&mut self, at: (usize, SimTime), template: &str, values: &[Val]) -> io::Result<()> {
+        self.open("i", CORES_PID, at.0, at.1)?;
+        self.fill(template, values)
+    }
+
+    /// Task `task` on core `core` from `since` to `until`: an `X` event, the
+    /// most common one, so it is written without a template.
+    fn run(&mut self, core: usize, task: usize, since: SimTime, until: SimTime) -> io::Result<()> {
+        self.open("X", CORES_PID, core, since)?;
+        self.w.write_all(b",\"dur\":")?;
+        write_micros(&mut self.w, until.saturating_since(since).as_nanos())?;
+        self.w.write_all(b",\"name\":\"")?;
+        self.name(task)?;
+        self.w.write_all(b"\",\"cat\":\"run\"}")
     }
 }
 
@@ -95,76 +209,48 @@ impl<W: Write> Events<W> {
 /// streamed through a buffered chunked writer. The byte stream is
 /// identical to what [`export_chrome`] returns.
 pub fn export_chrome_to<W: Write>(buf: &TraceBuffer, writer: W) -> io::Result<()> {
-    let mut w = io::BufWriter::with_capacity(1 << 16, writer);
-    w.write_all(b"{\"traceEvents\":[\n")?;
-    let mut ev = Events { w, first: true };
-
-    ev.meta(CORES_PID, None, "process_name", "cores")?;
-    ev.meta(TASKS_PID, None, "process_name", "tasks")?;
+    let mut ev = Events {
+        w: io::BufWriter::with_capacity(1 << 16, writer),
+        buf,
+        names: vec![String::new(); buf.n_tasks()],
+    };
+    // The two process names open every document, so every later event
+    // starts with its `,\n` separator.
+    ev.w.write_all(
+        b"{\"traceEvents\":[\n\
+          {\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"cores\"}},\n\
+          {\"ph\":\"M\",\"pid\":2,\"name\":\"process_name\",\"args\":{\"name\":\"tasks\"}}",
+    )?;
     for c in 0..buf.n_cores() {
-        ev.meta(CORES_PID, Some(c as u64), "thread_name", &format!("cpu{c}"))?;
+        ev.fill(
+            THREAD_NAME,
+            &[Int(CORES_PID), int(c), Fmt(format_args!("cpu{c}"))],
+        )?;
     }
 
     // Open occupancy interval per core: (task, dispatch time).
     let mut open: Vec<Option<(usize, SimTime)>> = vec![None; buf.n_cores()];
-    let mut named_task_tracks: Vec<bool> = Vec::new();
+    let mut named_task_tracks = HashSet::new();
 
     for rec in buf.records() {
-        let core = rec.core.0 as u64;
-        match &rec.event {
+        let core = rec.core.0;
+        let at = (core, rec.time);
+        match rec.event {
             TraceEvent::Dispatch { task } => {
-                if rec.core.0 < open.len() {
-                    open[rec.core.0] = Some((*task, rec.time));
+                if let Some(slot) = open.get_mut(core) {
+                    *slot = Some((task, rec.time));
                 }
             }
             TraceEvent::Desched { task, .. } => {
-                if let Some(Some((t, since))) = open.get(rec.core.0).copied() {
-                    if t == *task {
-                        open[rec.core.0] = None;
-                        let dur = rec.time.saturating_since(since);
-                        ev.push(format!(
-                            "\"ph\":\"X\",\"pid\":{CORES_PID},\"tid\":{core},\
-                             \"ts\":{},\"dur\":{:.3},\"name\":\"{}\",\"cat\":\"run\"",
-                            ts(since),
-                            dur.as_nanos() as f64 / 1_000.0,
-                            esc(&buf.task_name(*task)),
-                        ))?;
-                    }
+                let slot = open.get_mut(core);
+                if let Some((_, since)) = slot.and_then(|s| s.take_if(|(t, _)| *t == task)) {
+                    ev.run(core, task, since, rec.time)?;
                 }
             }
-            TraceEvent::Preempt { task, by } => {
-                ev.push(format!(
-                    "\"ph\":\"i\",\"pid\":{CORES_PID},\"tid\":{core},\"ts\":{},\
-                     \"s\":\"t\",\"name\":\"preempt {} by {}\",\"cat\":\"sched\"",
-                    ts(rec.time),
-                    esc(&buf.task_name(*task)),
-                    esc(&buf.task_name(*by)),
-                ))?;
-            }
-            TraceEvent::Wake { task } => {
-                ev.push(format!(
-                    "\"ph\":\"i\",\"pid\":{CORES_PID},\"tid\":{core},\"ts\":{},\
-                     \"s\":\"t\",\"name\":\"wake {}\",\"cat\":\"sched\"",
-                    ts(rec.time),
-                    esc(&buf.task_name(*task)),
-                ))?;
-            }
-            TraceEvent::Sleep { task } => {
-                ev.push(format!(
-                    "\"ph\":\"i\",\"pid\":{CORES_PID},\"tid\":{core},\"ts\":{},\
-                     \"s\":\"t\",\"name\":\"sleep {}\",\"cat\":\"sched\"",
-                    ts(rec.time),
-                    esc(&buf.task_name(*task)),
-                ))?;
-            }
-            TraceEvent::Exit { task } => {
-                ev.push(format!(
-                    "\"ph\":\"i\",\"pid\":{CORES_PID},\"tid\":{core},\"ts\":{},\
-                     \"s\":\"t\",\"name\":\"exit {}\",\"cat\":\"sched\"",
-                    ts(rec.time),
-                    esc(&buf.task_name(*task)),
-                ))?;
-            }
+            TraceEvent::Preempt { task, by } => ev.instant(at, PREEMPT, &[Name(task), Name(by)])?,
+            TraceEvent::Wake { task } => ev.instant(at, SCHED, &[Str("wake"), Name(task)])?,
+            TraceEvent::Sleep { task } => ev.instant(at, SCHED, &[Str("sleep"), Name(task)])?,
+            TraceEvent::Exit { task } => ev.instant(at, SCHED, &[Str("exit"), Name(task)])?,
             TraceEvent::Migrate {
                 task,
                 from,
@@ -172,58 +258,32 @@ pub fn export_chrome_to<W: Write>(buf: &TraceBuffer, writer: W) -> io::Result<()
                 tier,
                 reason,
             } => {
-                ev.push(format!(
-                    "\"ph\":\"i\",\"pid\":{CORES_PID},\"tid\":{},\"ts\":{},\
-                     \"s\":\"p\",\"name\":\"migrate {}\",\"cat\":\"migration\",\
-                     \"args\":{{\"from\":\"cpu{}\",\"to\":\"cpu{}\",\
-                     \"tier\":\"{:?}\",\"reason\":\"{}\"}}",
-                    to.0,
-                    ts(rec.time),
-                    esc(&buf.task_name(*task)),
-                    from.0,
-                    to.0,
-                    tier,
-                    reason.label(),
-                ))?;
+                let values = [
+                    Name(task),
+                    int(from.0),
+                    int(to.0),
+                    Fmt(format_args!("{tier:?}")),
+                    Str(reason.label()),
+                ];
+                ev.instant((to.0, rec.time), MIGRATE, &values)?;
             }
-            TraceEvent::SpeedSample { task, speed } => match task {
-                Some(t) => {
-                    if named_task_tracks.len() <= *t {
-                        named_task_tracks.resize(*t + 1, false);
-                    }
-                    if !named_task_tracks[*t] {
-                        named_task_tracks[*t] = true;
-                        ev.meta(
-                            TASKS_PID,
-                            Some(*t as u64),
-                            "thread_name",
-                            &buf.task_name(*t),
-                        )?;
-                    }
-                    ev.push(format!(
-                        "\"ph\":\"C\",\"pid\":{TASKS_PID},\"tid\":{t},\"ts\":{},\
-                         \"name\":\"speed {}\",\"args\":{{\"speed\":{}}}",
-                        ts(rec.time),
-                        esc(&buf.task_name(*t)),
-                        num(*speed),
-                    ))?;
+            TraceEvent::SpeedSample {
+                task: Some(t),
+                speed,
+            } => {
+                if named_task_tracks.insert(t) {
+                    ev.fill(THREAD_NAME, &[Int(TASKS_PID), int(t), Name(t)])?;
                 }
-                None => {
-                    ev.push(format!(
-                        "\"ph\":\"C\",\"pid\":{CORES_PID},\"tid\":{core},\"ts\":{},\
-                         \"name\":\"speed cpu{core}\",\"args\":{{\"speed\":{}}}",
-                        ts(rec.time),
-                        num(*speed),
-                    ))?;
-                }
-            },
+                ev.open("C", TASKS_PID, t, rec.time)?;
+                ev.fill(TASK_SPEED, &[Name(t), Float(speed)])?;
+            }
+            TraceEvent::SpeedSample { task: None, speed } => {
+                ev.open("C", CORES_PID, core, rec.time)?;
+                ev.fill(CORE_SPEED, &[int(core), Float(speed)])?;
+            }
             TraceEvent::FreqStep { ratio } => {
-                ev.push(format!(
-                    "\"ph\":\"C\",\"pid\":{CORES_PID},\"tid\":{core},\"ts\":{},\
-                     \"name\":\"freq cpu{core}\",\"args\":{{\"ratio\":{}}}",
-                    ts(rec.time),
-                    num(*ratio),
-                ))?;
+                ev.open("C", CORES_PID, core, rec.time)?;
+                ev.fill(FREQ, &[int(core), Float(ratio)])?;
             }
             TraceEvent::BalancerActivation {
                 policy,
@@ -232,16 +292,14 @@ pub fn export_chrome_to<W: Write>(buf: &TraceBuffer, writer: W) -> io::Result<()
                 outcome,
                 jitter,
             } => {
-                ev.push(format!(
-                    "\"ph\":\"i\",\"pid\":{CORES_PID},\"tid\":{core},\"ts\":{},\
-                     \"s\":\"t\",\"name\":\"{policy} {}\",\"cat\":\"balancer\",\
-                     \"args\":{{\"local\":{},\"global\":{},\"jitter_ms\":{}}}",
-                    ts(rec.time),
-                    outcome.label(),
-                    num(*local),
-                    num(*global),
-                    num(jitter.as_millis_f64()),
-                ))?;
+                let values = [
+                    Str(policy),
+                    Str(outcome.label()),
+                    Float(local),
+                    Float(global),
+                    Float(jitter.as_millis_f64()),
+                ];
+                ev.instant(at, ACTIVATION, &values)?;
             }
             TraceEvent::BarrierArrive {
                 task,
@@ -251,29 +309,15 @@ pub fn export_chrome_to<W: Write>(buf: &TraceBuffer, writer: W) -> io::Result<()
                 parties,
             } => {
                 // The first arriver opens the episode span.
-                if *arrived == 1 {
-                    ev.push(format!(
-                        "\"ph\":\"b\",\"pid\":{CORES_PID},\"tid\":{core},\"ts\":{},\
-                         \"id\":{cond},\"name\":\"barrier ep {episode}\",\
-                         \"cat\":\"barrier\"",
-                        ts(rec.time),
-                    ))?;
+                if arrived == 1 {
+                    ev.open("b", CORES_PID, core, rec.time)?;
+                    ev.fill(BARRIER_SPAN, &[int(cond), Int(episode)])?;
                 }
-                ev.push(format!(
-                    "\"ph\":\"i\",\"pid\":{CORES_PID},\"tid\":{core},\"ts\":{},\
-                     \"s\":\"t\",\"name\":\"arrive {} ({arrived}/{parties})\",\
-                     \"cat\":\"barrier\"",
-                    ts(rec.time),
-                    esc(&buf.task_name(*task)),
-                ))?;
+                ev.instant(at, ARRIVE, &[Name(task), int(arrived), int(parties)])?;
             }
             TraceEvent::BarrierRelease { cond, episode, .. } => {
-                ev.push(format!(
-                    "\"ph\":\"e\",\"pid\":{CORES_PID},\"tid\":{core},\"ts\":{},\
-                     \"id\":{cond},\"name\":\"barrier ep {episode}\",\
-                     \"cat\":\"barrier\"",
-                    ts(rec.time),
-                ))?;
+                ev.open("e", CORES_PID, core, rec.time)?;
+                ev.fill(BARRIER_SPAN, &[int(cond), Int(episode)])?;
             }
             TraceEvent::ProcFault {
                 task,
@@ -282,75 +326,41 @@ pub fn export_chrome_to<W: Write>(buf: &TraceBuffer, writer: W) -> io::Result<()
                 attempt,
                 retrying,
             } => {
-                let who = match task {
-                    Some(t) => buf.task_name(*t),
-                    None => "process".to_string(),
-                };
-                ev.push(format!(
-                    "\"ph\":\"i\",\"pid\":{CORES_PID},\"tid\":{core},\"ts\":{},\
-                     \"s\":\"t\",\"name\":\"fault {} {}\",\"cat\":\"fault\",\
-                     \"args\":{{\"target\":\"{}\",\"kind\":\"{}\",\
-                     \"attempt\":{attempt},\"retrying\":{retrying}}}",
-                    ts(rec.time),
-                    op.label(),
-                    kind.label(),
-                    esc(&who),
-                    kind.label(),
-                ))?;
+                let values = [
+                    Str(op.label()),
+                    Str(kind.label()),
+                    task.map_or(Str("process"), Name),
+                    Str(kind.label()),
+                    Int(attempt.into()),
+                    Str(if retrying { "true" } else { "false" }),
+                ];
+                ev.instant(at, FAULT, &values)?;
             }
             TraceEvent::Quarantined { task, failures } => {
-                ev.push(format!(
-                    "\"ph\":\"i\",\"pid\":{CORES_PID},\"tid\":{core},\"ts\":{},\
-                     \"s\":\"p\",\"name\":\"quarantine {}\",\"cat\":\"fault\",\
-                     \"args\":{{\"failures\":{failures}}}",
-                    ts(rec.time),
-                    esc(&buf.task_name(*task)),
-                ))?;
+                ev.instant(at, QUARANTINE, &[Name(task), Int(failures.into())])?;
             }
             TraceEvent::RequestArrival {
                 request,
                 arrival,
                 queued,
             } => {
-                ev.push(format!(
-                    "\"ph\":\"i\",\"pid\":{CORES_PID},\"tid\":{core},\"ts\":{},\
-                     \"s\":\"t\",\"name\":\"req {request} arrive\",\
-                     \"cat\":\"request\",\"args\":{{\"arrival_us\":{},\
-                     \"queued\":{queued}}}",
-                    ts(rec.time),
-                    ts(*arrival),
-                ))?;
+                let values = [int(request), Micros(arrival.as_nanos()), int(queued)];
+                ev.instant(at, REQ_ARRIVE, &values)?;
             }
             TraceEvent::RequestDispatch {
                 request,
                 subtask,
                 wait,
             } => {
-                ev.push(format!(
-                    "\"ph\":\"i\",\"pid\":{CORES_PID},\"tid\":{core},\"ts\":{},\
-                     \"s\":\"t\",\"name\":\"serve req {request}.{subtask}\",\
-                     \"cat\":\"request\",\"args\":{{\"wait_ms\":{}}}",
-                    ts(rec.time),
-                    num(wait.as_millis_f64()),
-                ))?;
+                let values = [int(request), int(subtask), Float(wait.as_millis_f64())];
+                ev.instant(at, REQ_SERVE, &values)?;
             }
             TraceEvent::RequestComplete { request, latency } => {
-                ev.push(format!(
-                    "\"ph\":\"i\",\"pid\":{CORES_PID},\"tid\":{core},\"ts\":{},\
-                     \"s\":\"t\",\"name\":\"req {request} done\",\
-                     \"cat\":\"request\",\"args\":{{\"latency_ms\":{}}}",
-                    ts(rec.time),
-                    num(latency.as_millis_f64()),
-                ))?;
+                let values = [int(request), Float(latency.as_millis_f64())];
+                ev.instant(at, REQ_DONE, &values)?;
             }
             TraceEvent::RequestDrop { request, reason } => {
-                ev.push(format!(
-                    "\"ph\":\"i\",\"pid\":{CORES_PID},\"tid\":{core},\"ts\":{},\
-                     \"s\":\"p\",\"name\":\"drop req {request}\",\
-                     \"cat\":\"request\",\"args\":{{\"reason\":\"{}\"}}",
-                    ts(rec.time),
-                    reason.label(),
-                ))?;
+                ev.instant(at, REQ_DROP, &[int(request), Str(reason.label())])?;
             }
         }
     }
@@ -358,24 +368,13 @@ pub fn export_chrome_to<W: Write>(buf: &TraceBuffer, writer: W) -> io::Result<()
     // Close any occupancy interval still open at the end of the trace.
     let end = buf.end_time();
     for (c, slot) in open.iter().enumerate() {
-        if let Some((task, since)) = slot {
-            let dur = end.saturating_since(*since);
-            ev.push(format!(
-                "\"ph\":\"X\",\"pid\":{CORES_PID},\"tid\":{c},\"ts\":{},\
-                 \"dur\":{:.3},\"name\":\"{}\",\"cat\":\"run\"",
-                ts(*since),
-                dur.as_nanos() as f64 / 1_000.0,
-                esc(&buf.task_name(*task)),
-            ))?;
+        if let Some((task, since)) = *slot {
+            ev.run(c, task, since, end)?;
         }
     }
 
-    let mut w = ev.w;
-    if !ev.first {
-        w.write_all(b"\n")?;
-    }
-    w.write_all(b"]}\n")?;
-    w.flush()
+    ev.w.write_all(b"\n]}\n")?;
+    ev.w.flush()
 }
 
 /// Renders the whole buffer as a Chrome trace-event JSON document in
@@ -395,6 +394,33 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    #[test]
+    fn micros_match_f64_formatting() {
+        let check = |ns: u64| {
+            let mut out = Vec::new();
+            write_micros(&mut out, ns).unwrap();
+            let want = format!("{:.3}", ns as f64 / 1_000.0);
+            assert_eq!(String::from_utf8(out).unwrap(), want, "{ns} ns");
+        };
+        for ns in [0, 999, 1_000, EXACT_NS - 1, EXACT_NS, u64::MAX] {
+            check(ns);
+        }
+        // Seeded values below 2^51 ns, spread over every magnitude.
+        let mut rng = speedbal_sim::SimRng::new(0x7ACE);
+        for _ in 0..100_000 {
+            check(rng.next_u64() >> (13 + rng.next_below(51)));
+        }
+    }
+
+    #[test]
+    fn integers_print_in_decimal() {
+        for n in [0, 7, 10, 999_999, u64::MAX] {
+            let mut out = Vec::new();
+            write_int(&mut out, n).unwrap();
+            assert_eq!(String::from_utf8(out).unwrap(), n.to_string());
+        }
     }
 
     #[test]
