@@ -543,102 +543,94 @@ impl ServerApp {
 impl Program for ServerWorker {
     fn next(&mut self, ctx: &mut ProgramCtx<'_>) -> Directive {
         let now = ctx.now;
-        // Events to emit once the state borrow is released (trace_event
-        // needs `ctx`, and tracing must never feed back into decisions).
-        let mut events: Vec<TraceEvent> = Vec::new();
-        let directive;
-        {
-            let mut s = self.state.borrow_mut();
+        // Trace events go straight to `ctx`: recording reads nothing back,
+        // so tracing never feeds back into decisions.
+        let mut s = self.state.borrow_mut();
 
-            // 1. Stamp the completion of the subtask just computed.
-            if let Some((sub, dispatched)) = self.current.take() {
-                let wall = now.saturating_since(dispatched);
-                s.metrics.service_wall.record_duration(wall);
-                s.remaining[sub.req] -= 1;
-                if s.remaining[sub.req] == 0 && !s.dropped[sub.req] {
-                    let latency = now.saturating_since(s.requests[sub.req].arrival);
-                    s.metrics.latency.record_duration(latency);
-                    s.metrics.completed += 1;
-                    events.push(TraceEvent::RequestComplete {
-                        request: sub.req,
-                        latency,
-                    });
-                }
-            }
-
-            // 2. Admit every arrival whose nominal time has passed, in
-            // arrival order. Whole requests admit or drop atomically.
-            while s.next_arrival < s.requests.len() && s.requests[s.next_arrival].arrival <= now {
-                let i = s.next_arrival;
-                s.next_arrival += 1;
-                let fanout = s.requests[i].subtasks.len();
-                if s.queue_capacity > 0 && s.queue.len() + fanout > s.queue_capacity {
-                    s.dropped[i] = true;
-                    s.metrics.dropped_queue_full += 1;
-                    events.push(TraceEvent::RequestDrop {
-                        request: i,
-                        reason: RequestDropReason::QueueFull,
-                    });
-                    continue;
-                }
-                for sub in 0..fanout {
-                    s.queue.push_back(Subtask { req: i, sub });
-                }
-                s.remaining[i] = fanout as u32;
-                s.metrics.admitted += 1;
-                events.push(TraceEvent::RequestArrival {
-                    request: i,
-                    arrival: s.requests[i].arrival,
-                    queued: s.queue.len(),
+        // 1. Stamp the completion of the subtask just computed.
+        if let Some((sub, dispatched)) = self.current.take() {
+            let wall = now.saturating_since(dispatched);
+            s.metrics.service_wall.record_duration(wall);
+            s.remaining[sub.req] -= 1;
+            if s.remaining[sub.req] == 0 && !s.dropped[sub.req] {
+                let latency = now.saturating_since(s.requests[sub.req].arrival);
+                s.metrics.latency.record_duration(latency);
+                s.metrics.completed += 1;
+                ctx.trace_event(TraceEvent::RequestComplete {
+                    request: sub.req,
+                    latency,
                 });
             }
+        }
 
-            // 3. Pull the next live subtask and compute it.
-            directive = loop {
-                match s.queue.pop_front() {
-                    Some(sub) => {
-                        if s.dropped[sub.req] {
-                            continue; // sibling of a shed request
-                        }
-                        let wait = now.saturating_since(s.requests[sub.req].arrival);
-                        if s.shed_after > SimDuration::ZERO && wait > s.shed_after {
-                            s.dropped[sub.req] = true;
-                            s.metrics.dropped_shed += 1;
-                            events.push(TraceEvent::RequestDrop {
-                                request: sub.req,
-                                reason: RequestDropReason::ShedTimeout,
-                            });
-                            continue;
-                        }
-                        s.metrics.queue_delay.record_duration(wait);
-                        events.push(TraceEvent::RequestDispatch {
+        // 2. Admit every arrival whose nominal time has passed, in
+        // arrival order. Whole requests admit or drop atomically.
+        while s.next_arrival < s.requests.len() && s.requests[s.next_arrival].arrival <= now {
+            let i = s.next_arrival;
+            s.next_arrival += 1;
+            let fanout = s.requests[i].subtasks.len();
+            if s.queue_capacity > 0 && s.queue.len() + fanout > s.queue_capacity {
+                s.dropped[i] = true;
+                s.metrics.dropped_queue_full += 1;
+                ctx.trace_event(TraceEvent::RequestDrop {
+                    request: i,
+                    reason: RequestDropReason::QueueFull,
+                });
+                continue;
+            }
+            for sub in 0..fanout {
+                s.queue.push_back(Subtask { req: i, sub });
+            }
+            s.remaining[i] = fanout as u32;
+            s.metrics.admitted += 1;
+            ctx.trace_event(TraceEvent::RequestArrival {
+                request: i,
+                arrival: s.requests[i].arrival,
+                queued: s.queue.len(),
+            });
+        }
+
+        // 3. Pull the next live subtask and compute it.
+        loop {
+            match s.queue.pop_front() {
+                Some(sub) => {
+                    if s.dropped[sub.req] {
+                        continue; // sibling of a shed request
+                    }
+                    let wait = now.saturating_since(s.requests[sub.req].arrival);
+                    if s.shed_after > SimDuration::ZERO && wait > s.shed_after {
+                        s.dropped[sub.req] = true;
+                        s.metrics.dropped_shed += 1;
+                        ctx.trace_event(TraceEvent::RequestDrop {
                             request: sub.req,
-                            subtask: sub.sub,
-                            wait,
+                            reason: RequestDropReason::ShedTimeout,
                         });
-                        let demand = s.requests[sub.req].subtasks[sub.sub];
-                        self.current = Some((sub, now));
-                        break Directive::Compute(demand);
+                        continue;
                     }
-                    None => {
-                        // 4. Idle: sleep until the next arrival, or exit
-                        // once the schedule is exhausted (in-flight
-                        // subtasks finish on their own workers).
-                        if s.next_arrival < s.requests.len() {
-                            let next = s.requests[s.next_arrival].arrival;
-                            break Directive::SleepFor(
-                                next.saturating_since(now).max(SimDuration::from_nanos(1)),
-                            );
-                        }
-                        break Directive::Exit;
-                    }
+                    s.metrics.queue_delay.record_duration(wait);
+                    ctx.trace_event(TraceEvent::RequestDispatch {
+                        request: sub.req,
+                        subtask: sub.sub,
+                        wait,
+                    });
+                    let demand = s.requests[sub.req].subtasks[sub.sub];
+                    self.current = Some((sub, now));
+                    break Directive::Compute(demand);
                 }
-            };
+                None => {
+                    // 4. Idle: sleep until the next arrival, or exit
+                    // once the schedule is exhausted (in-flight
+                    // subtasks finish on their own workers).
+                    if s.next_arrival < s.requests.len() {
+                        let next = s.requests[s.next_arrival].arrival;
+                        break Directive::SleepFor(
+                            next.saturating_since(now).max(SimDuration::from_nanos(1)),
+                        );
+                    }
+                    break Directive::Exit;
+                }
+            }
         }
-        for ev in events {
-            ctx.trace_event(ev);
-        }
-        directive
     }
 
     fn label(&self) -> String {

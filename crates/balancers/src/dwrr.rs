@@ -74,6 +74,9 @@ pub struct Dwrr {
     next_place: usize,
     migrations: u64,
     rounds_advanced: u64,
+    /// Reusable task list for the hooks that migrate, suspend or resume
+    /// while walking a core's tasks, so no hook allocates once warm.
+    scratch: Vec<TaskId>,
 }
 
 impl Dwrr {
@@ -89,6 +92,7 @@ impl Dwrr {
             next_place: 0,
             migrations: 0,
             rounds_advanced: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -110,14 +114,18 @@ impl Dwrr {
     /// Expired (suspended) tasks parked on `core` that are eligible to run
     /// in round ≤ `round`. Reads the per-core member list (non-exited, in
     /// `TaskId` order) instead of scanning every task.
-    fn eligible_expired_on(&self, sys: &System, core: CoreId, round: u64) -> Vec<TaskId> {
+    fn eligible_expired_on<'a>(
+        &'a self,
+        sys: &'a System,
+        core: CoreId,
+        round: u64,
+    ) -> impl Iterator<Item = TaskId> + 'a {
         sys.tasks_assigned_to(core)
             .iter()
             .copied()
-            .filter(|t| {
+            .filter(move |t| {
                 sys.task_suspended(*t) && self.tasks.get(t.0).map_or(0, |r| r.round) <= round
             })
-            .collect()
     }
 
     /// Round balancing for an empty `core`: steal runnable or
@@ -134,17 +142,21 @@ impl Dwrr {
             if c == core {
                 continue;
             }
-            let unpinned = sys
-                .tasks_on_core_iter(c)
-                .filter(|t| sys.task_pinned(*t).is_none())
-                .count();
-            let queued = sys
-                .tasks_on_core_iter(c)
-                .filter(|t| {
-                    sys.task_state(*t) == TaskState::Runnable && sys.task_pinned(*t).is_none()
-                })
-                .count();
-            let expired = self.eligible_expired_on(sys, c, my_round).len();
+            let expired = self.eligible_expired_on(sys, c, my_round).count();
+            // With nothing queued and nothing expired, nothing is stealable:
+            // `c` cannot be the donor, so skip its run-queue walk.
+            if expired == 0 && sys.queue_len(c) <= usize::from(sys.current_task(c).is_some()) {
+                continue;
+            }
+            let (mut unpinned, mut queued) = (0, 0);
+            for t in sys.tasks_on_core_iter(c) {
+                if sys.task_pinned(t).is_none() {
+                    unpinned += 1;
+                    if sys.task_state(t) == TaskState::Runnable {
+                        queued += 1;
+                    }
+                }
+            }
             let load = unpinned + expired;
             let stealable = queued + expired;
             // Donor ranking key: raw count, or capacity-scaled load in the
@@ -170,8 +182,10 @@ impl Dwrr {
         }
         let to_steal = (donor_load / 2).max(1).min(donor_load - 1).min(stealable);
         let mut stolen = 0usize;
+        let mut list = std::mem::take(&mut self.scratch);
         // Expired-but-eligible threads first (they are the round laggards).
-        for t in self.eligible_expired_on(sys, donor, my_round) {
+        list.extend(self.eligible_expired_on(sys, donor, my_round));
+        for &t in &list {
             if stolen >= to_steal {
                 break;
             }
@@ -183,11 +197,11 @@ impl Dwrr {
                 stolen += 1;
             }
         }
-        let runnable: Vec<TaskId> = sys
-            .tasks_on_core_iter(donor)
-            .filter(|t| sys.task_state(*t) == TaskState::Runnable && sys.task_pinned(*t).is_none())
-            .collect();
-        for t in runnable {
+        list.clear();
+        list.extend(sys.tasks_on_core_iter(donor).filter(|t| {
+            sys.task_state(*t) == TaskState::Runnable && sys.task_pinned(*t).is_none()
+        }));
+        for &t in &list {
             if stolen >= to_steal {
                 break;
             }
@@ -197,6 +211,8 @@ impl Dwrr {
                 stolen += 1;
             }
         }
+        list.clear();
+        self.scratch = list;
         stolen > 0
     }
 
@@ -210,11 +226,14 @@ impl Dwrr {
         }
         self.round[core.0] += 1;
         self.rounds_advanced += 1;
-        let eligible = self.eligible_expired_on(sys, core, self.round[core.0]);
-        for t in eligible {
+        let mut eligible = std::mem::take(&mut self.scratch);
+        eligible.extend(self.eligible_expired_on(sys, core, self.round[core.0]));
+        for &t in &eligible {
             self.task_mut(t).used = SimDuration::ZERO;
             sys.resume_task(t);
         }
+        eligible.clear();
+        self.scratch = eligible;
     }
 
     /// Round-slice accounting for every task on `core`, driven by CPU-time
@@ -224,11 +243,12 @@ impl Dwrr {
     fn account_core(&mut self, sys: &mut System, core: CoreId) {
         let cur_round = self.round[core.0];
         let slice = self.cfg.round_slice;
-        let on_core: Vec<TaskId> = sys
-            .tasks_on_core_iter(core)
-            .filter(|t| sys.task_pinned(*t).is_none() && sys.task_exited_at(*t).is_none())
-            .collect();
-        for t in on_core {
+        let mut on_core = std::mem::take(&mut self.scratch);
+        on_core.extend(
+            sys.tasks_on_core_iter(core)
+                .filter(|t| sys.task_pinned(*t).is_none() && sys.task_exited_at(*t).is_none()),
+        );
+        for &t in &on_core {
             let exec = sys.task_exec_total(t);
             let acct = self.task_mut(t);
             let delta = exec.saturating_sub(acct.exec_snap);
@@ -240,6 +260,8 @@ impl Dwrr {
                 sys.suspend_task(t);
             }
         }
+        on_core.clear();
+        self.scratch = on_core;
     }
 
     fn maintain(&mut self, sys: &mut System, core: CoreId) {

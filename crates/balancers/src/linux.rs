@@ -23,7 +23,7 @@
 //!   of the paper), reproducing LOAD's notorious run-to-run variance.
 
 use serde::{Deserialize, Serialize};
-use speedbal_machine::{CoreId, DomainLevel};
+use speedbal_machine::{CoreId, Domain, DomainLevel};
 use speedbal_sched::balancer::keys;
 use speedbal_sched::{
     ActivationOutcome, Balancer, MigrationReason, System, TaskId, TaskState, TraceEvent,
@@ -180,29 +180,24 @@ impl LinuxLoadBalancer {
                 continue;
             }
             state.last_balance[li] = now;
-            self.balance_level(sys, core, &dom.cores, dom.level);
+            self.balance_level(sys, core, *dom);
         }
     }
 
     /// `load_balance` within one domain: find the busiest queue and pull
     /// toward `core` if the imbalance is both large enough (percentage) and
     /// improvable (difference of at least two tasks).
-    fn balance_level(
-        &mut self,
-        sys: &mut System,
-        core: CoreId,
-        members: &[CoreId],
-        level: DomainLevel,
-    ) {
+    fn balance_level(&mut self, sys: &mut System, core: CoreId, dom: Domain) {
         if self.cfg.capacity_aware {
-            self.balance_level_weighted(sys, core, members, level);
+            self.balance_level_weighted(sys, core, dom);
             return;
         }
+        let level = dom.level;
         let local_len = sys.queue_len(core);
-        let Some((busiest, busiest_len)) = members
-            .iter()
-            .filter(|c| **c != core)
-            .map(|c| (*c, sys.queue_len(*c)))
+        let Some((busiest, busiest_len)) = dom
+            .cores()
+            .filter(|c| *c != core)
+            .map(|c| (c, sys.queue_len(c)))
             .max_by_key(|(c, l)| (*l, std::cmp::Reverse(c.0)))
         else {
             return;
@@ -265,18 +260,13 @@ impl LinuxLoadBalancer {
     /// only while the donor stays at least as loaded (capacity-scaled) as
     /// the local queue afterwards — on equal capacities this reduces
     /// exactly to the integer rule (`diff >= 2`, move `diff / 2`).
-    fn balance_level_weighted(
-        &mut self,
-        sys: &mut System,
-        core: CoreId,
-        members: &[CoreId],
-        level: DomainLevel,
-    ) {
+    fn balance_level_weighted(&mut self, sys: &mut System, core: CoreId, dom: Domain) {
+        let level = dom.level;
         let local_cap = sys.core_capacity(core);
         let local_len = sys.queue_len(core);
         let local_eq = local_len as f64 / local_cap;
         let mut best: Option<(CoreId, usize, f64, f64)> = None;
-        for &c in members {
+        for c in dom.cores() {
             if c == core {
                 continue;
             }
@@ -431,16 +421,15 @@ impl Balancer for LinuxLoadBalancer {
         if prev_ok && sys.queue_len(prev) == 0 {
             return prev;
         }
-        for dom in sys.topology().domains_for(prev) {
+        for dom in sys.topology().domains_for(prev).iter() {
             if dom.level > DomainLevel::Socket {
                 break;
             }
             if let Some(idle) = dom
-                .cores
-                .iter()
-                .find(|c| sys.queue_len(**c) == 0 && sys.task_may_run_on(task, **c))
+                .cores()
+                .find(|c| sys.queue_len(*c) == 0 && sys.task_may_run_on(task, *c))
             {
-                return *idle;
+                return idle;
             }
         }
         if prev_ok {

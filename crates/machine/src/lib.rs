@@ -29,4 +29,6 @@ pub mod topology;
 pub use cost::CostModel;
 pub use freq::{FreqError, FreqSchedule, FreqTraceSpec};
 pub use presets::{asymmetric, barcelona, big_little, nehalem, tigerton, uniform};
-pub use topology::{CoreId, CoreInfo, Domain, DomainLevel, NodeId, Topology, TopologySpec};
+pub use topology::{
+    CoreId, CoreInfo, Domain, DomainChain, DomainLevel, NodeId, Topology, TopologySpec,
+};

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// Index of a logical CPU (a hardware execution context).
 #[derive(
@@ -54,12 +55,66 @@ impl DomainLevel {
 }
 
 /// A scheduling domain: a set of cores sharing a resource at some level.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Core ids are assigned socket-major, then physical core, then SMT
+/// context, so every domain [`Topology::build`] can produce is a contiguous
+/// run of ids, and [`Topology::restrict`] keeps a prefix of them. A domain
+/// is therefore stored as its level and the half-open id range
+/// `first..end`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Domain {
     /// The sharing level this domain represents.
     pub level: DomainLevel,
+    /// The lowest core id inside the domain.
+    pub first: usize,
+    /// One past the highest core id inside the domain.
+    pub end: usize,
+}
+
+impl Domain {
     /// The cores inside the domain, in id order.
-    pub cores: Vec<CoreId>,
+    pub fn cores(&self) -> impl Iterator<Item = CoreId> {
+        (self.first..self.end).map(CoreId)
+    }
+
+    /// Number of cores inside the domain.
+    pub fn n_cores(&self) -> usize {
+        self.end - self.first
+    }
+}
+
+/// A core's scheduling-domain chain, bottom-up, held inline: at most one
+/// domain per [`DomainLevel`], so building one never allocates. Derefs to
+/// a slice of [`Domain`]s.
+#[derive(Debug, Clone, Copy)]
+pub struct DomainChain {
+    domains: [Domain; DomainLevel::ALL.len()],
+    len: usize,
+}
+
+impl DomainChain {
+    /// Appends `dom` unless it is degenerate: a single core, or the same
+    /// cores as the level below (as Linux degenerates such levels too).
+    fn push_nondegenerate(&mut self, dom: Domain) {
+        if dom.n_cores() <= 1 {
+            return;
+        }
+        if let Some(last) = self.last() {
+            if (last.first, last.end) == (dom.first, dom.end) {
+                return;
+            }
+        }
+        self.domains[self.len] = dom;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for DomainChain {
+    type Target = [Domain];
+
+    fn deref(&self) -> &[Domain] {
+        &self.domains[..self.len]
+    }
 }
 
 /// Static description of one logical CPU.
@@ -79,6 +134,22 @@ pub struct CoreInfo {
     /// Relative compute speed of this core (1.0 = nominal). Captures
     /// asymmetric systems and Turbo Boost-style overclocking.
     pub speed: f64,
+}
+
+impl CoreInfo {
+    /// The core's group at `level`: two cores share a domain at `level`
+    /// iff their keys are equal. [`Topology::build`] guarantees that the
+    /// key is the core id divided by the level's group size, so every
+    /// group is a contiguous id run.
+    fn group_key(&self, level: DomainLevel) -> usize {
+        match level {
+            DomainLevel::Smt => self.smt_group,
+            DomainLevel::Cache => self.cache_group,
+            DomainLevel::Socket => self.socket,
+            DomainLevel::Numa => self.node.0,
+            DomainLevel::System => 0,
+        }
+    }
 }
 
 /// A complete machine description.
@@ -104,6 +175,11 @@ pub struct Topology {
     /// and the whole machine on UMA ones (a shared front-side bus, as on
     /// Tigerton). `f64::INFINITY` disables contention.
     bw_streams: f64,
+    /// Cores per group at each [`DomainLevel`] (indexed like
+    /// [`DomainLevel::ALL`]): the group at a level holding core `i` is the
+    /// id run starting at `i / len * len`, cut at the last core after a
+    /// [`Topology::restrict`].
+    group_len: [usize; DomainLevel::ALL.len()],
 }
 
 /// Builder-style specification for [`Topology::build`].
@@ -172,7 +248,7 @@ impl Topology {
                     .is_multiple_of(spec.cores_per_cache_group),
             "cache groups must evenly tile a socket"
         );
-        let mut cores = Vec::new();
+        let mut cores = Vec::with_capacity(spec.sockets * spec.cores_per_socket * spec.smt);
         let speed_at = |i: usize| -> f64 {
             if spec.speeds.is_empty() {
                 1.0
@@ -206,6 +282,19 @@ impl Topology {
                 }
             }
         }
+        // Every domain is a contiguous run of equally many ids, numbered in
+        // id order: `domains_for` and the bandwidth-domain ranges rely on it.
+        let group_len = DomainLevel::ALL.map(|level| {
+            let len = cores.iter().take_while(|c| c.group_key(level) == 0).count();
+            assert!(
+                cores
+                    .chunks(len.max(1))
+                    .enumerate()
+                    .all(|(g, run)| run.iter().all(|c| c.group_key(level) == g)),
+                "{level:?} groups must be equal runs of consecutive core ids"
+            );
+            len
+        });
         Topology {
             name: spec.name.clone(),
             cores,
@@ -215,6 +304,7 @@ impl Topology {
             private_cache_bytes: spec.private_cache_bytes,
             smt_busy_factor: spec.smt_busy_factor,
             bw_streams: spec.bw_streams,
+            group_len,
         }
     }
 
@@ -236,6 +326,7 @@ impl Topology {
             private_cache_bytes: self.private_cache_bytes,
             smt_busy_factor: self.smt_busy_factor,
             bw_streams: self.bw_streams,
+            group_len: self.group_len,
         }
     }
 
@@ -320,19 +411,14 @@ impl Topology {
         }
     }
 
-    /// Cores in the given bandwidth domain.
-    pub fn cores_in_bw_domain(&self, domain: usize) -> Vec<CoreId> {
-        self.cores
-            .iter()
-            .filter(|c| {
-                if self.n_nodes > 1 {
-                    c.node.0 == domain
-                } else {
-                    domain == 0
-                }
-            })
-            .map(|c| c.id)
-            .collect()
+    /// Cores in the given bandwidth domain, as their contiguous id range
+    /// (empty for a domain that does not exist).
+    pub fn cores_in_bw_domain(&self, domain: usize) -> Range<usize> {
+        // Node ids are the Numa-level group numbers; a UMA machine's one
+        // node spans every core.
+        let len = self.group_len[DomainLevel::Numa as usize];
+        let n = self.cores.len();
+        (domain * len).min(n)..((domain + 1) * len).min(n)
     }
 
     /// True iff the machine has more than one NUMA node.
@@ -388,55 +474,28 @@ impl Topology {
     /// build it: each entry is the set of cores `core` can balance with at
     /// that level. Levels whose domain would be identical to the level below
     /// (e.g. `Smt` on non-SMT machines) are skipped, as Linux degenerates
-    /// them too.
-    pub fn domains_for(&self, core: CoreId) -> Vec<Domain> {
-        let info = &self.cores[core.0];
-        let mut out: Vec<Domain> = Vec::new();
-        let mut push_level = |level: DomainLevel, members: Vec<CoreId>| {
-            if members.len() <= 1 {
-                return;
-            }
-            if let Some(last) = out.last() {
-                if last.cores == members {
-                    return;
-                }
-            }
-            out.push(Domain {
-                level,
-                cores: members,
-            });
+    /// them too. Each level's range is computed from the core id and the
+    /// level's group size, so a call neither searches nor allocates.
+    pub fn domains_for(&self, core: CoreId) -> DomainChain {
+        let n = self.cores.len();
+        assert!(core.0 < n, "no core {} on a {n}-core machine", core.0);
+        let mut chain = DomainChain {
+            domains: [Domain {
+                level: DomainLevel::Smt,
+                first: 0,
+                end: 0,
+            }; DomainLevel::ALL.len()],
+            len: 0,
         };
-        let smt: Vec<CoreId> = self
-            .cores
-            .iter()
-            .filter(|c| c.smt_group == info.smt_group)
-            .map(|c| c.id)
-            .collect();
-        push_level(DomainLevel::Smt, smt);
-        let cache: Vec<CoreId> = self
-            .cores
-            .iter()
-            .filter(|c| c.cache_group == info.cache_group)
-            .map(|c| c.id)
-            .collect();
-        push_level(DomainLevel::Cache, cache);
-        let socket: Vec<CoreId> = self
-            .cores
-            .iter()
-            .filter(|c| c.socket == info.socket)
-            .map(|c| c.id)
-            .collect();
-        push_level(DomainLevel::Socket, socket);
-        let node: Vec<CoreId> = self
-            .cores
-            .iter()
-            .filter(|c| c.node == info.node)
-            .map(|c| c.id)
-            .collect();
-        push_level(DomainLevel::Numa, node);
-        let all: Vec<CoreId> = self.cores.iter().map(|c| c.id).collect();
-        push_level(DomainLevel::System, all);
-        out
+        for (level, len) in DomainLevel::ALL.into_iter().zip(self.group_len) {
+            let first = core.0 / len * len;
+            chain.push_nondegenerate(Domain {
+                level,
+                first,
+                end: (first + len).min(n),
+            });
+        }
+        chain
     }
 }
 
@@ -523,14 +582,14 @@ mod tests {
         let d = t.domains_for(CoreId(0));
         // No SMT level (degenerate), then cache pair, socket, system.
         assert_eq!(d[0].level, DomainLevel::Cache);
-        assert_eq!(d[0].cores, vec![CoreId(0), CoreId(1)]);
+        assert_eq!(d[0].cores().collect::<Vec<_>>(), vec![CoreId(0), CoreId(1)]);
         assert_eq!(d[1].level, DomainLevel::Socket);
-        assert_eq!(d[1].cores.len(), 4);
+        assert_eq!(d[1].n_cores(), 4);
         assert_eq!(d.last().unwrap().level, DomainLevel::System);
-        assert_eq!(d.last().unwrap().cores.len(), 8);
+        assert_eq!(d.last().unwrap().n_cores(), 8);
         for w in d.windows(2) {
-            assert!(w[0].cores.len() < w[1].cores.len(), "strictly growing");
-            assert!(w[1].cores.contains(&CoreId(0)));
+            assert!(w[0].n_cores() < w[1].n_cores(), "strictly growing");
+            assert!(w[1].cores().any(|c| c == CoreId(0)));
         }
     }
 
@@ -568,6 +627,104 @@ mod tests {
         assert_eq!(t.speed_of(CoreId(0)), 2.0);
         assert_eq!(t.speed_of(CoreId(1)), 1.0);
         assert_eq!(t.speed_of(CoreId(3)), 1.0);
+    }
+
+    /// The filter-based chain builder `domains_for` replaced: one member
+    /// list per level, built by scanning every core for an equal group key.
+    fn reference_chain(t: &Topology, core: CoreId) -> Vec<(DomainLevel, Vec<CoreId>)> {
+        let info = t.core(core);
+        let mut out: Vec<(DomainLevel, Vec<CoreId>)> = Vec::new();
+        let mut push_level = |level: DomainLevel, members: Vec<CoreId>| {
+            if members.len() <= 1 {
+                return;
+            }
+            if let Some((_, last)) = out.last() {
+                if *last == members {
+                    return;
+                }
+            }
+            out.push((level, members));
+        };
+        let members = |same: &dyn Fn(&CoreInfo) -> bool| -> Vec<CoreId> {
+            t.core_ids().filter(|c| same(t.core(*c))).collect()
+        };
+        push_level(
+            DomainLevel::Smt,
+            members(&|c| c.smt_group == info.smt_group),
+        );
+        push_level(
+            DomainLevel::Cache,
+            members(&|c| c.cache_group == info.cache_group),
+        );
+        push_level(DomainLevel::Socket, members(&|c| c.socket == info.socket));
+        push_level(DomainLevel::Numa, members(&|c| c.node == info.node));
+        push_level(DomainLevel::System, members(&|_| true));
+        out
+    }
+
+    /// Every preset shape, plus each of its `restrict(n)` prefixes.
+    fn oracle_machines() -> Vec<Topology> {
+        use crate::presets::*;
+        let full = vec![
+            tigerton(),
+            barcelona(),
+            nehalem(),
+            asymmetric(2, 6, 2.0),
+            asymmetric(1, 1, 2.0),
+            big_little(4, 8, 1.0, 0.55),
+            big_little(4, 4, 1.0, 0.55),
+            uniform(1),
+            uniform(2),
+            uniform(8),
+            uniform(128),
+        ];
+        full.iter()
+            .flat_map(|t| (1..=t.n_cores()).map(move |n| t.restrict(n)))
+            .collect()
+    }
+
+    #[test]
+    fn domain_chains_match_filter_reference() {
+        for t in oracle_machines() {
+            for c in t.core_ids() {
+                let chain: Vec<(DomainLevel, Vec<CoreId>)> = t
+                    .domains_for(c)
+                    .iter()
+                    .map(|d| (d.level, d.cores().collect()))
+                    .collect();
+                assert_eq!(chain, reference_chain(&t, c), "{} core {}", t.name(), c.0);
+            }
+        }
+    }
+
+    #[test]
+    fn group_keys_never_decrease_in_id_order() {
+        for t in oracle_machines() {
+            for level in DomainLevel::ALL {
+                let keys: Vec<usize> = t.core_ids().map(|c| t.core(c).group_key(level)).collect();
+                assert!(
+                    keys.windows(2).all(|w| w[0] <= w[1]),
+                    "{} {level:?} keys {keys:?}",
+                    t.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bw_domains_are_the_reference_member_sets() {
+        for t in oracle_machines() {
+            let n_domains = t.core_ids().map(|c| t.bw_domain_of(c)).max().unwrap() + 1;
+            for d in 0..n_domains {
+                let want: Vec<usize> = t
+                    .core_ids()
+                    .filter(|c| t.bw_domain_of(*c) == d)
+                    .map(|c| c.0)
+                    .collect();
+                assert_eq!(t.cores_in_bw_domain(d).collect::<Vec<_>>(), want);
+            }
+            assert!(t.cores_in_bw_domain(n_domains).is_empty());
+        }
     }
 
     #[test]
@@ -641,16 +798,16 @@ mod proptests {
             for c in t.core_ids() {
                 let chain = t.domains_for(c);
                 let mut prev_len = 1usize;
-                for dom in &chain {
-                    prop_assert!(dom.cores.contains(&c));
-                    prop_assert!(dom.cores.len() > prev_len || prev_len == 1);
-                    prop_assert!(dom.cores.len() >= prev_len);
-                    prev_len = dom.cores.len();
+                for dom in chain.iter() {
+                    prop_assert!(dom.cores().any(|x| x == c));
+                    prop_assert!(dom.n_cores() > prev_len || prev_len == 1);
+                    prop_assert!(dom.n_cores() >= prev_len);
+                    prev_len = dom.n_cores();
                 }
                 if let Some(last) = chain.last() {
                     // The top of a multi-core machine's chain is everything.
                     if t.n_cores() > 1 {
-                        prop_assert_eq!(last.cores.len(), t.n_cores());
+                        prop_assert_eq!(last.n_cores(), t.n_cores());
                     }
                 }
             }

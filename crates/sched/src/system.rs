@@ -41,6 +41,7 @@ use crate::task::{Activity, Task, TaskId, TaskState, TaskTable};
 use speedbal_machine::{CoreId, CostModel, FreqSchedule, Topology};
 use speedbal_sim::{EventQueue, OrderingPolicy, SimDuration, SimRng, SimTime, SlotId};
 use speedbal_trace::{MigrationReason, TraceBuffer, TraceConfig, TraceEvent};
+use std::ops::Range;
 
 /// Handle to a task group (one application / competing workload).
 #[derive(
@@ -233,12 +234,10 @@ pub struct System {
     /// bit-identical to walking only the occupied cores, since adding an
     /// exact 0.0 never changes a finite sum.
     current_mi: Vec<f64>,
-    /// Cached topology lists (the `Topology` getters allocate per call).
-    bw_domain_cores: Vec<Vec<CoreId>>,
-    /// `Some(lo)` when `bw_domain_cores[d]` is exactly the contiguous run
-    /// `lo..lo+len` in order, letting the memo hit check below compare a
-    /// flat `current_mi` slice instead of gathering core by core.
-    bw_domain_contig: Vec<Option<usize>>,
+    /// Core-id range of each bandwidth domain (contiguous by the
+    /// `Topology` invariant), so the memo hit check below compares a flat
+    /// `current_mi` slice.
+    bw_domain_cores: Vec<Range<usize>>,
     /// Per-core memo for [`System::bandwidth_factor`], keyed by the raw
     /// bits of its inputs (see there).
     bw_cache: Vec<BwCache>,
@@ -362,18 +361,7 @@ impl System {
             .map(|c| topo.bw_domain_of(CoreId(c)))
             .max()
             .map_or(0, |d| d + 1);
-        let bw_domain_cores: Vec<Vec<CoreId>> =
-            (0..n_domains).map(|d| topo.cores_in_bw_domain(d)).collect();
-        let bw_domain_contig = bw_domain_cores
-            .iter()
-            .map(|cs| {
-                let lo = cs.first()?.0;
-                cs.iter()
-                    .enumerate()
-                    .all(|(i, c)| c.0 == lo + i)
-                    .then_some(lo)
-            })
-            .collect();
+        let bw_domain_cores = (0..n_domains).map(|d| topo.cores_in_bw_domain(d)).collect();
         let smt_sibs = (0..n).map(|c| topo.smt_siblings(CoreId(c))).collect();
         let mut sys = System {
             topo,
@@ -398,7 +386,6 @@ impl System {
             members: vec![Vec::new(); n],
             current_mi: vec![0.0; n],
             bw_domain_cores,
-            bw_domain_contig,
             bw_cache: vec![BwCache::default(); n],
             smt_sibs,
             slice_cache: Vec::new(),
@@ -1327,32 +1314,25 @@ impl System {
         // against the live `current_mi` on every call — no invalidation
         // hooks — and a hit returns exactly what the serial summation
         // below produced for the same bits, so schedules cannot diverge.
-        let cores = &self.bw_domain_cores[domain];
-        let mis = &self.current_mi;
+        let range = self.bw_domain_cores[domain].clone();
+        let own = core.0 - range.start;
+        let mis = &self.current_mi[range];
         let cache = &mut self.bw_cache[core.0];
-        if cache.valid && cache.own == mi.to_bits() && cache.key.len() == cores.len() {
-            // Contiguous domains (the common, whole-socket case) compare the
-            // live slice flat; irregular ones gather core by core.
-            let hit = match self.bw_domain_contig[domain] {
-                Some(lo) => mis[lo..lo + cores.len()]
-                    .iter()
-                    .zip(cache.key.iter())
-                    .all(|(&m, &k)| m.to_bits() == k),
-                None => cores
-                    .iter()
-                    .zip(cache.key.iter())
-                    .all(|(&c, &k)| mis[c.0].to_bits() == k),
-            };
-            if hit {
-                return cache.factor;
-            }
+        if cache.valid
+            && cache.own == mi.to_bits()
+            && cache.key.len() == mis.len()
+            && mis
+                .iter()
+                .zip(cache.key.iter())
+                .all(|(&m, &k)| m.to_bits() == k)
+        {
+            return cache.factor;
         }
         let mut demand = mi; // self counts even while being dispatched
-        for &c in cores {
-            if c == core {
-                continue;
+        for (i, &m) in mis.iter().enumerate() {
+            if i != own {
+                demand += m;
             }
-            demand += mis[c.0];
         }
         let streams = self.topo.bw_streams();
         let factor = if demand <= streams {
@@ -1363,7 +1343,7 @@ impl System {
         cache.valid = true;
         cache.own = mi.to_bits();
         cache.key.clear();
-        cache.key.extend(cores.iter().map(|&c| mis[c.0].to_bits()));
+        cache.key.extend(mis.iter().map(|m| m.to_bits()));
         cache.factor = factor;
         factor
     }
