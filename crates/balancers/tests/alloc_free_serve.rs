@@ -1,9 +1,9 @@
-//! Steady-state allocation test for the serving path under the baseline
-//! balancers: once warm, stepping an open-loop web server under LOAD or
-//! DWRR — wakeup placement, timer rebalancing over the domain chain, idle
-//! pulls, round balancing and accounting, and the worker's own
-//! dispatch/complete bookkeeping — must not touch the heap (tracing
-//! disabled).
+//! Steady-state allocation test for the serving path: once warm, stepping
+//! an open-loop web server under LOAD, DWRR or SPEED — wakeup placement,
+//! timer rebalancing over the domain chain, idle pulls, round balancing
+//! and accounting, speed measurement and the victim scan, and the
+//! worker's own dispatch/complete bookkeeping — must not touch the heap
+//! (tracing disabled).
 //!
 //! A counting global allocator wraps the system allocator. Each run steps
 //! a warm-up stretch (queue and scratch capacities grow to their working
@@ -14,9 +14,10 @@
 //! running test in the same binary would pollute it.
 
 use speedbal_apps::ServerApp;
-use speedbal_balancers::{Dwrr, LinuxLoadBalancer};
-use speedbal_machine::{uniform, CostModel};
-use speedbal_sched::{Balancer, SchedConfig, System};
+use speedbal_balancers::{CompositeBalancer, Dwrr, LinuxLoadBalancer};
+use speedbal_core::{SpeedBalancer, SpeedBalancerConfig};
+use speedbal_machine::{uniform, CoreId, CostModel};
+use speedbal_sched::{Balancer, GroupId, SchedConfig, System};
 use speedbal_sim::{SimDuration, SimTime};
 use speedbal_workloads::web;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
@@ -53,6 +54,19 @@ const WARMUP_STEPS: u64 = 20_000;
 /// At most one allocation per this many measured steps.
 const STEPS_PER_ALLOC: u64 = 10_000;
 
+/// SPEED managing the server's group on every core, composed with LOAD
+/// for everything else (the harness's SPEED policy).
+fn speed(seed: u64) -> Box<dyn Balancer> {
+    let cores = (0..CORES).map(CoreId).collect();
+    let speed = SpeedBalancer::with_config(SpeedBalancerConfig::default(), seed)
+        .managing(vec![GroupId(0)], cores);
+    Box::new(CompositeBalancer::new(
+        vec![GroupId(0)],
+        Box::new(speed),
+        Box::new(LinuxLoadBalancer::new()),
+    ))
+}
+
 /// Steps `web(16, 8, rho)` on `uniform(8)` to completion; returns the
 /// steps and allocations counted after the warm-up.
 fn measure(balancer: Box<dyn Balancer>, rho: f64, seed: u64) -> (u64, u64) {
@@ -85,7 +99,7 @@ fn measure(balancer: Box<dyn Balancer>, rho: f64, seed: u64) -> (u64, u64) {
 }
 
 #[test]
-fn warm_serving_steps_do_not_allocate_under_load_and_dwrr() {
+fn warm_serving_steps_do_not_allocate_under_load_dwrr_and_speed() {
     // The runtime invariant checker re-derives system state the slow way
     // (fresh Vecs and maps at every hook) by design; this test measures
     // the production hot path, so it is vacuous under SPEEDBAL_CHECK=1.
@@ -94,9 +108,10 @@ fn warm_serving_steps_do_not_allocate_under_load_and_dwrr() {
     }
     let mut failures = Vec::new();
     for rho in [0.5, 0.9] {
-        let policies: [(&str, Box<dyn Balancer>); 2] = [
+        let policies: [(&str, Box<dyn Balancer>); 3] = [
             ("LOAD", Box::new(LinuxLoadBalancer::new())),
             ("DWRR", Box::new(Dwrr::new())),
+            ("SPEED", speed(41)),
         ];
         for (name, balancer) in policies {
             let (steps, allocs) = measure(balancer, rho, 41);

@@ -7,20 +7,16 @@
 //! * **traced** — the structured event trace is documented as strictly
 //!   observational;
 //! * **checked** — the runtime invariant checker reads state, never
-//!   writes it;
-//! * **reference scan** (SPEED policies only) — the balancer re-derives
-//!   each core's managed-task set with an O(n) scan of the whole task
-//!   table instead of the incrementally-maintained per-core member lists
-//!   (see `SpeedBalancerConfig::reference_scan`).
+//!   writes it. It also diffs every per-core member list, which SPEED
+//!   reads, against a whole-table scan at each post-step,
+//!   post-migration and post-balance hook.
 //!
 //! A fingerprint is bit-for-bit: completion times compare as raw `f64`
-//! bits, per-task execution totals as exact nanosecond counts, and the
-//! two traced variants additionally compare their full migration logs.
+//! bits and per-task execution totals as exact nanosecond counts.
 
 use speedbal_harness::sweep::scenario_cost;
-use speedbal_harness::{run_repeat_detailed, run_sweep, Policy, RepeatOutcome, Scenario, SweepJob};
+use speedbal_harness::{run_repeat_detailed, run_sweep, RepeatOutcome, Scenario, SweepJob};
 use speedbal_sched::System;
-use speedbal_trace::{MigrationReason, TraceBuffer, TraceEvent};
 
 /// Everything observable about one repeat, in exactly-comparable form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,26 +45,6 @@ impl Fingerprint {
     }
 }
 
-/// The migration log reconstructed from a trace buffer: `(time ns, task,
-/// from, to)`, wake placements excluded (matching
-/// `System::migration_log`).
-pub fn migration_log(buf: &TraceBuffer) -> Vec<(u64, usize, usize, usize)> {
-    buf.records()
-        .filter_map(|rec| match rec.event {
-            TraceEvent::Migrate {
-                task,
-                from,
-                to,
-                reason,
-                ..
-            } if reason != MigrationReason::WakePlacement => {
-                Some((rec.time.as_nanos(), task, from.0, to.0))
-            }
-            _ => None,
-        })
-        .collect()
-}
-
 /// One scenario × repeat differential: returns the divergences found
 /// (empty = conforming).
 pub fn diff_repeat(s: &Scenario, r: usize) -> Vec<String> {
@@ -93,40 +69,6 @@ pub fn diff_repeat(s: &Scenario, r: usize) -> Vec<String> {
         failures.push(format!("{label}: checked run diverged from baseline"));
     }
 
-    // The reference-scan path only exists inside the speed balancer.
-    let ref_policy = match &s.policy {
-        Policy::Speed => Some(Policy::SpeedWith(speedbal_core::SpeedBalancerConfig {
-            reference_scan: true,
-            ..Default::default()
-        })),
-        Policy::SpeedWith(cfg) => Some(Policy::SpeedWith(speedbal_core::SpeedBalancerConfig {
-            reference_scan: true,
-            ..cfg.clone()
-        })),
-        _ => None,
-    };
-    if let Some(ref_policy) = ref_policy {
-        let mut ref_s = s.clone();
-        ref_s.policy = ref_policy;
-        let (ref_out, ref_sys) = run_repeat_detailed(&ref_s, r, true);
-        if Fingerprint::of(&ref_out, &ref_sys) != base {
-            failures.push(format!(
-                "{label}: reference-scan run diverged from incremental baseline"
-            ));
-        }
-        // The two traced variants must agree on every single migration.
-        match (&traced_out.trace, &ref_out.trace) {
-            (Some(a), Some(b)) => {
-                if migration_log(a) != migration_log(b) {
-                    failures.push(format!(
-                        "{label}: migration logs diverged between incremental and \
-                         reference-scan runs"
-                    ));
-                }
-            }
-            _ => failures.push(format!("{label}: traced run returned no trace buffer")),
-        }
-    }
     failures
 }
 
@@ -134,13 +76,13 @@ pub fn diff_repeat(s: &Scenario, r: usize) -> Vec<String> {
 /// `(cases run, failures)`.
 pub fn diff_scenarios(scenarios: &[Scenario]) -> (usize, Vec<String>) {
     // Every (scenario, repeat) differential is independent — each one
-    // replays the same seed along four paths — so fan them out on the
+    // replays the same seed along three paths — so fan them out on the
     // sweep executor. Results come back in submission order, keeping the
     // failure list identical to the serial loop's.
     let mut jobs: Vec<SweepJob<Vec<String>>> = Vec::new();
     for s in scenarios {
-        // diff_repeat runs one repeat ~4 times; cost ≈ one repeat's cost.
-        let cost = (scenario_cost(s) / s.repeats.max(1) as u64).max(1) * 4;
+        // diff_repeat runs one repeat 3 times; cost ≈ one repeat's cost.
+        let cost = (scenario_cost(s) / s.repeats.max(1) as u64).max(1) * 3;
         for r in 0..s.repeats {
             let s = s.clone();
             jobs.push(SweepJob::new(cost, move || diff_repeat(&s, r)));
@@ -155,7 +97,7 @@ pub fn diff_scenarios(scenarios: &[Scenario]) -> (usize, Vec<String>) {
 mod tests {
     use super::*;
     use speedbal_apps::WaitMode;
-    use speedbal_harness::Machine;
+    use speedbal_harness::{Machine, Policy};
     use speedbal_workloads::ep;
 
     #[test]

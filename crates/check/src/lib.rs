@@ -8,9 +8,8 @@
 //!
 //! 1. [`refqueue`] — a naive reference event queue differentially fuzzed
 //!    against the production slot-armed [`speedbal_sim::EventQueue`];
-//! 2. [`diff`] — seeded scenario replays along independently-implemented
-//!    paths (traced / invariant-checked / reference-scan balancer state),
-//!    diffed bit-for-bit;
+//! 2. [`diff`] — seeded scenario replays along observational paths
+//!    (traced / invariant-checked), diffed bit-for-bit;
 //! 3. [`lemma`] — a conformance sweep checking the real speed balancer
 //!    against Lemma 1's analytic bound over an (N threads, M cores) grid;
 //! 4. [`fuzz`] — schedule-space fuzzing: the battery replayed under
@@ -29,7 +28,7 @@ pub mod lemma;
 mod props;
 pub mod refqueue;
 
-pub use diff::{diff_repeat, diff_scenarios, migration_log, Fingerprint};
+pub use diff::{diff_repeat, diff_scenarios, Fingerprint};
 pub use fuzz::{run_fuzz, FuzzFailure, FuzzOptions, FuzzReport};
 pub use lemma::{
     conformance_cell, conformance_cell_ordered, conformance_sweep, lockstep_cell,
@@ -154,8 +153,8 @@ pub(crate) fn diff_battery(quick: bool) -> Vec<Scenario> {
         )
         .repeats(repeats),
         // Server cell: Poisson arrivals, lognormal service, 6 workers on
-        // 4 cores — the traced / checked / reference-scan paths must
-        // replay the request queue and sleep/wake machinery bit-for-bit.
+        // 4 cores — the traced / checked paths must replay the request
+        // queue and sleep/wake machinery bit-for-bit.
         Scenario::server_only(
             Machine::Uniform(4),
             0,
@@ -216,9 +215,9 @@ pub(crate) fn diff_battery(quick: bool) -> Vec<Scenario> {
             .repeats(repeats),
         );
         // Multiprogrammed cell: EP sharing the machine with a pinned
-        // cpu-hog (Figure 5's setup), so the traced / checked /
-        // reference-scan paths are replayed bit-for-bit with competitor
-        // tasks churning the run queues.
+        // cpu-hog (Figure 5's setup), so the traced / checked paths are
+        // replayed bit-for-bit with competitor tasks churning the run
+        // queues.
         v.push(
             Scenario::new(
                 Machine::Tigerton,

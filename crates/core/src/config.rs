@@ -68,12 +68,6 @@ pub struct SpeedBalancerConfig {
     /// of a fast core. Off by default (the paper's 2009 implementation did
     /// not weight — it notes this as the easy extension).
     pub weight_core_speed: bool,
-    /// Differential-testing knob: read each core's managed-task set via a
-    /// reference O(n) scan of the whole task table instead of the system's
-    /// incrementally-maintained per-core member lists. Both paths must
-    /// produce bit-identical runs; `speedbal-check`'s differential harness
-    /// diffs them. Off by default (the scan is the slow path).
-    pub reference_scan: bool,
 }
 
 impl Default for SpeedBalancerConfig {
@@ -89,7 +83,6 @@ impl Default for SpeedBalancerConfig {
             cross_cache_interval_mult: 1,
             metric: SpeedMetric::ExecTime,
             weight_core_speed: false,
-            reference_scan: false,
         }
     }
 }

@@ -30,9 +30,11 @@
 #![deny(clippy::perf)]
 
 pub mod config;
+pub mod decide;
 pub mod speed;
 pub mod stats;
 
 pub use config::{SpeedBalancerConfig, SpeedMetric};
+pub use decide::{Block, CoreView, Decision};
 pub use speed::SpeedBalancer;
 pub use stats::SpeedStats;

@@ -1,8 +1,10 @@
-//! The distributed speed-balancing algorithm (paper §5.1–5.2).
+//! The distributed speed-balancing algorithm (paper §5.1–5.2): the
+//! simulator's side of the shared decision step in [`crate::decide`].
 
 use crate::config::{SpeedBalancerConfig, SpeedMetric};
+use crate::decide::{self, Block, CoreView, Decision};
 use crate::stats::{SpeedStats, SpeedStatsHandle};
-use speedbal_machine::CoreId;
+use speedbal_machine::{CoreId, DomainLevel};
 use speedbal_sched::balancer::keys;
 use speedbal_sched::{
     ActivationOutcome, Balancer, GroupId, MigrationReason, System, TaskId, TraceEvent,
@@ -20,21 +22,14 @@ struct Snapshot {
 /// Per-core balancer-thread state.
 #[derive(Debug, Clone)]
 struct PerCore {
-    /// Published core speed `s_j` (average of its threads' speeds), read by
-    /// the other balancers when they compute the global average. Starts at
-    /// 1.0 (an idle core offers full speed).
+    /// Published core speed `s_j`, read by the other balancers when they
+    /// compute the global average. Starts at 1.0 (an idle core offers
+    /// full speed).
     published: f64,
-    /// Last time this core was the source or destination of a migration;
-    /// drives the ≥ 2-interval post-migration block.
-    last_migration: Option<SimTime>,
-    /// Activations of *this core's* balancer thread that must still complete
-    /// before the post-migration block lifts. With `randomize_interval` the
-    /// gap between activations stretches up to `2 × interval`, so a purely
-    /// nominal-time block can expire before the core has observed
-    /// `post_migration_block` fresh measurement windows; counting the core's
-    /// own activations restores the paper's "blocked for at least 2 balance
-    /// intervals" under jitter.
-    blocked_activations: u32,
+    /// The post-migration block.
+    block: Block,
+    /// Activations so far, for the per-domain interval tiers.
+    activations: u64,
 }
 
 /// The user-level speed balancer as a pluggable [`Balancer`].
@@ -53,15 +48,85 @@ pub struct SpeedBalancer {
     cfg: SpeedBalancerConfig,
     /// Groups this balancer manages; `None` = every group in the system.
     managed: Option<Vec<GroupId>>,
-    /// Cores the balancer runs on; `None` = every core (resolved at start).
+    /// Cores the balancer runs on, by slot; empty = every core (resolved
+    /// at start).
     cores: Vec<CoreId>,
-    per_core: Vec<Option<PerCore>>,
+    /// Per-slot state, aligned with `cores`.
+    per_core: Vec<PerCore>,
+    /// Slot of each core id, `None` for unmanaged cores.
+    slot_of: Vec<Option<usize>>,
     snapshots: Vec<Option<Snapshot>>,
     rng: SimRng,
     next_rr: usize,
     stats: SpeedStatsHandle,
-    /// Per-core activation counters, for the per-domain interval tiers.
-    activations: Vec<u64>,
+    /// Scratch: the managed tasks of the core being measured, and their
+    /// measured speeds (reused, so activations do not allocate).
+    tasks: Vec<TaskId>,
+    speeds: Vec<f64>,
+}
+
+fn is_managed(managed: &Option<Vec<GroupId>>, sys: &System, t: TaskId) -> bool {
+    managed
+        .as_ref()
+        .is_none_or(|gs| gs.contains(&sys.task_group(t)))
+}
+
+/// Managed, non-exited tasks whose run queue is `core`, in `TaskId` order
+/// (the system's incrementally maintained per-core member list).
+fn managed_on<'a>(
+    managed: &'a Option<Vec<GroupId>>,
+    sys: &'a System,
+    core: CoreId,
+) -> impl Iterator<Item = TaskId> + 'a {
+    sys.tasks_assigned_to(core)
+        .iter()
+        .copied()
+        .filter(move |&t| is_managed(managed, sys, t))
+}
+
+fn snapshot_mut(snapshots: &mut Vec<Option<Snapshot>>, t: TaskId) -> &mut Option<Snapshot> {
+    if snapshots.len() <= t.0 {
+        snapshots.resize(t.0 + 1, None);
+    }
+    &mut snapshots[t.0]
+}
+
+/// The simulator's answers to the decision step's per-core questions.
+struct SimView<'a> {
+    sys: &'a System,
+    bal: &'a SpeedBalancer,
+    local: CoreId,
+    now: u64,
+    span: u64,
+    allow_cross_cache: bool,
+    numa_blocked: u64,
+}
+
+impl CoreView for SimView<'_> {
+    type Thread = TaskId;
+
+    fn speed(&self, slot: usize) -> f64 {
+        self.bal.per_core[slot].published
+    }
+
+    fn rejects(&mut self, slot: usize) -> bool {
+        let (k, topo) = (self.bal.cores[slot], self.sys.topology());
+        if self.bal.cfg.block_numa_migrations && topo.crosses_numa(k, self.local) {
+            self.numa_blocked += 1;
+            return true;
+        }
+        !self.allow_cross_cache && topo.common_level(k, self.local) > DomainLevel::Cache
+    }
+
+    fn blocked(&self, slot: usize) -> bool {
+        self.bal.per_core[slot].block.active(self.now, self.span)
+    }
+
+    fn threads(&self, slot: usize) -> impl Iterator<Item = (u64, TaskId)> {
+        let sys = self.sys;
+        managed_on(&self.bal.managed, sys, self.bal.cores[slot])
+            .map(|t| (sys.task_migrations(t), t))
+    }
 }
 
 impl SpeedBalancer {
@@ -78,11 +143,13 @@ impl SpeedBalancer {
             managed: None,
             cores: Vec::new(),
             per_core: Vec::new(),
+            slot_of: Vec::new(),
             snapshots: Vec::new(),
             rng: SimRng::new(seed ^ 0x53504545_44424c52), // "SPEEDBLR"
             next_rr: 0,
             stats: SpeedStats::new_handle(),
-            activations: Vec::new(),
+            tasks: Vec::new(),
+            speeds: Vec::new(),
         }
     }
 
@@ -103,58 +170,16 @@ impl SpeedBalancer {
         self.stats.clone()
     }
 
-    fn is_managed(&self, sys: &System, t: TaskId) -> bool {
-        match &self.managed {
-            None => true,
-            Some(gs) => gs.contains(&sys.task_group(t)),
-        }
-    }
-
-    /// Managed, non-exited tasks whose run queue is `core`. Reads the
-    /// system's incrementally-maintained per-core member list (already
-    /// non-exited, in `TaskId` order) instead of scanning every task.
-    /// With [`SpeedBalancerConfig::reference_scan`] set, independently
-    /// re-derives the same set by scanning the whole task table — same
-    /// `TaskId` order, so a run along either path must be bit-identical
-    /// (the differential harness in `speedbal-check` diffs them).
-    fn managed_tasks_on(&self, sys: &System, core: CoreId) -> Vec<TaskId> {
-        if self.cfg.reference_scan {
-            return sys
-                .all_tasks()
-                .filter(|&t| {
-                    sys.task_state(t) != speedbal_sched::TaskState::Exited
-                        && sys.task_core(t) == core
-                        && self.is_managed(sys, t)
-                })
-                .collect();
-        }
-        sys.tasks_assigned_to(core)
-            .iter()
-            .copied()
-            .filter(|t| self.is_managed(sys, *t))
-            .collect()
-    }
-
-    fn snapshot_mut(&mut self, t: TaskId) -> &mut Option<Snapshot> {
-        if self.snapshots.len() <= t.0 {
-            self.snapshots.resize(t.0 + 1, None);
-        }
-        &mut self.snapshots[t.0]
-    }
-
-    /// Measures the speed of each managed thread on `core` over the window
-    /// since its last snapshot, with multiplicative measurement noise, and
-    /// returns the local core speed (their average). An empty core
-    /// publishes 1.0: it offers a full-speed slot. A *loaded* core whose
-    /// threads all have fresh zero-width windows (e.g. right after a
-    /// migration reset both cores' snapshots) holds its previously
-    /// published speed instead of masquerading as idle.
-    fn measure_core(&mut self, sys: &mut System, core: CoreId) -> f64 {
+    /// Measures the speed of each managed thread on the core at `slot`
+    /// over the window since its last snapshot, with multiplicative
+    /// measurement noise, and returns the core speed to publish
+    /// ([`decide::core_speed`]; the idle value is the core's weight).
+    fn measure_core(&mut self, sys: &mut System, slot: usize) -> f64 {
+        let core = self.cores[slot];
         if self.cfg.metric == SpeedMetric::InverseQueueLength {
             return self.measure_core_by_queue(sys, core);
         }
         let now = sys.now();
-        let tasks = self.managed_tasks_on(sys, core);
         let noise = self.cfg.measurement_noise;
         // Heterogeneous extension (§5): scale CPU share by the core's
         // effective capacity — static speed times the current frequency
@@ -164,52 +189,42 @@ impl SpeedBalancer {
         } else {
             1.0
         };
-        let had_tasks = !tasks.is_empty();
-        let mut speeds = Vec::with_capacity(tasks.len());
-        for t in tasks {
+        let mut tasks = std::mem::take(&mut self.tasks);
+        tasks.clear();
+        tasks.extend(managed_on(&self.managed, sys, core));
+        self.speeds.clear();
+        for &t in &tasks {
             let exec = sys.task_exec_total(t);
-            let snap = self.snapshot_mut(t);
-            match snap {
-                Some(s) if now > s.time => {
-                    let window = now.saturating_since(s.time);
-                    let delta = exec.saturating_sub(s.exec);
-                    let mut speed = (delta / window) * core_weight;
-                    *snap = Some(Snapshot { exec, time: now });
-                    if noise > 0.0 {
-                        speed *= self.rng.gauss(1.0, noise).max(0.0);
-                    }
-                    // What the balancer measured is what the trace shows.
-                    sys.trace_event(
-                        core,
-                        TraceEvent::SpeedSample {
-                            task: Some(t.0),
-                            speed,
-                        },
-                    );
-                    speeds.push(speed);
+            let snap = snapshot_mut(&mut self.snapshots, t);
+            if let Some(s) = *snap {
+                let delta = exec.saturating_sub(s.exec).as_nanos();
+                let window = now.saturating_since(s.time).as_nanos();
+                // A zero window keeps waiting.
+                let Some(speed) = decide::thread_speed(delta, window, 0, f64::INFINITY) else {
+                    continue;
+                };
+                let mut speed = speed * core_weight;
+                *snap = Some(Snapshot { exec, time: now });
+                if noise > 0.0 {
+                    speed *= self.rng.gauss(1.0, noise).max(0.0);
                 }
-                Some(_) => {} // zero window: keep waiting
-                None => {
-                    *snap = Some(Snapshot { exec, time: now });
-                }
-            }
-        }
-        if speeds.is_empty() {
-            if had_tasks {
-                // Loaded core, but every thread's window is zero-width (all
-                // snapshots were just reset). Publishing the idle value here
-                // would inflate the global average for a whole interval, so
-                // hold the last published speed until a real window opens.
-                self.per_core[core.0]
-                    .as_ref()
-                    .map_or(core_weight, |p| p.published)
+                // What the balancer measured is what the trace shows.
+                sys.trace_event(
+                    core,
+                    TraceEvent::SpeedSample {
+                        task: Some(t.0),
+                        speed,
+                    },
+                );
+                self.speeds.push(speed);
             } else {
-                // An idle core offers its full (weighted) capability.
-                core_weight
+                *snap = Some(Snapshot { exec, time: now });
             }
-        } else {
-            speeds.iter().sum::<f64>() / speeds.len() as f64
         }
+        let previous = self.per_core[slot].published;
+        let speed = decide::core_speed(tasks.len(), &self.speeds, previous, core_weight);
+        self.tasks = tasks;
+        speed
     }
 
     /// The inverse-queue-length strawman (§5): core speed = 1 / nr_running
@@ -227,185 +242,98 @@ impl SpeedBalancer {
         speed
     }
 
-    /// The global core speed: the average of every core's published speed
-    /// (the only shared state between balancer threads).
-    fn global_speed(&self) -> f64 {
-        let speeds: Vec<f64> = self
-            .per_core
-            .iter()
-            .filter_map(|p| p.as_ref().map(|p| p.published))
-            .collect();
-        if speeds.is_empty() {
-            1.0
-        } else {
-            speeds.iter().sum::<f64>() / speeds.len() as f64
-        }
-    }
-
-    /// Whether `core` is still inside its post-migration block. The paper
-    /// requires a core touched by a migration to sit out "at least 2 balance
-    /// intervals"; with `randomize_interval` a balance interval is jittered
-    /// up to `2 × interval`, so the nominal-time test alone under-enforces
-    /// the block. A core stays blocked until **both** hold:
-    /// `post_migration_block` nominal intervals have elapsed *and* the
-    /// core's own balancer thread has completed that many (jittered)
-    /// activations since the migration.
-    fn in_migration_block(&self, core: CoreId, now: SimTime) -> bool {
-        let Some(p) = self.per_core[core.0].as_ref() else {
-            return false;
-        };
-        if p.blocked_activations > 0 {
-            return true;
-        }
-        let block = self.cfg.interval * u64::from(self.cfg.post_migration_block);
-        match p.last_migration {
-            Some(t) => now.saturating_since(t) < block,
-            None => false,
-        }
-    }
-
-    /// Records that `core`'s balancer thread completed one activation,
-    /// ticking down its post-migration block. Called at the top of
-    /// [`Self::balance`], before the block is consulted.
-    fn note_activation(&mut self, core: CoreId) {
-        if let Some(p) = self.per_core[core.0].as_mut() {
-            p.blocked_activations = p.blocked_activations.saturating_sub(1);
-        }
-    }
-
-    /// One activation of the balancer thread on `local` (paper §5.1 steps
-    /// 1–4 plus the pull). Returns `(s_local, s_global, outcome)` for the
-    /// trace.
-    fn balance(&mut self, sys: &mut System, local: CoreId) -> (f64, f64, ActivationOutcome) {
+    /// One activation of the balancer thread on the core at `slot` (paper
+    /// §5.1 steps 1–4 plus the pull). Returns `(s_local, s_global,
+    /// outcome)` for the trace.
+    fn balance(&mut self, sys: &mut System, slot: usize) -> (f64, f64, ActivationOutcome) {
         let now = sys.now();
+        let local = self.cores[slot];
         self.stats.borrow_mut().activations += 1;
-        self.activations[local.0] += 1;
-        self.note_activation(local);
+        let me = &mut self.per_core[slot];
+        me.activations += 1;
+        me.block.tick();
         // Per-domain interval tiers (§5): cross-cache pulls only on every
         // `cross_cache_interval_mult`-th activation, so within-cache
         // migrations happen proportionally more often.
-        let allow_cross_cache = self.cfg.cross_cache_interval_mult <= 1
-            || self.activations[local.0]
-                .is_multiple_of(u64::from(self.cfg.cross_cache_interval_mult));
+        let mult = u64::from(self.cfg.cross_cache_interval_mult);
+        let allow_cross_cache = mult <= 1 || me.activations.is_multiple_of(mult);
 
         // Steps 1–2: thread speeds and local core speed.
-        let s_local = self.measure_core(sys, local);
-        if let Some(p) = self.per_core[local.0].as_mut() {
-            p.published = s_local;
-        }
-        // Step 3: global core speed.
-        let s_global = self.global_speed();
-        // Step 4: only a faster-than-average core pulls.
-        if s_local <= s_global || s_global <= 0.0 {
-            return (s_local, s_global, ActivationOutcome::BelowAverage);
-        }
-        self.stats.borrow_mut().balance_attempts += 1;
-        if self.in_migration_block(local, now) {
-            self.stats.borrow_mut().blocked_recent += 1;
-            return (s_local, s_global, ActivationOutcome::Blocked);
-        }
-
-        // Find the slowest suitable remote core: speed below threshold, not
-        // recently involved in a migration, NUMA-compatible, and actually
-        // hosting a managed thread to pull. Candidates are scanned in ring
-        // order starting just past the local core: with measurement noise
-        // off, equally-loaded cores publish *exactly* equal speeds, and a
-        // fixed scan order would resolve every tie toward the lowest core
-        // index, starving the highest-indexed slow queue forever (the
-        // Lemma 1 conformance sweep in `speedbal-check` caught precisely
-        // that). Starting each core's scan at its own successor makes the
-        // tie-break depend on the puller, so rotation covers every core.
-        let cores = self.cores.clone();
-        let start = cores.iter().position(|&c| c == local).map_or(0, |i| i + 1);
-        let mut best: Option<(f64, CoreId)> = None;
-        let mut saw_blocked = false;
-        for off in 0..cores.len() {
-            let k = cores[(start + off) % cores.len()];
-            if k == local {
-                continue;
-            }
-            let Some(pc) = self.per_core[k.0].as_ref() else {
-                continue;
-            };
-            let s_k = pc.published;
-            if s_k / s_global >= self.cfg.speed_threshold {
-                continue;
-            }
-            if self.cfg.block_numa_migrations && sys.topology().crosses_numa(k, local) {
-                self.stats.borrow_mut().numa_blocked += 1;
-                continue;
-            }
-            if !allow_cross_cache
-                && sys.topology().common_level(k, local) > speedbal_machine::DomainLevel::Cache
-            {
-                continue;
-            }
-            if self.in_migration_block(k, now) {
-                saw_blocked = true;
-                continue;
-            }
-            if self.managed_tasks_on(sys, k).is_empty() {
-                continue;
-            }
-            if best.is_none_or(|(bs, _)| s_k < bs) {
-                best = Some((s_k, k));
-            }
-        }
-        let Some((best_s_k, victim_core)) = best else {
-            let mut st = self.stats.borrow_mut();
-            let outcome = if saw_blocked {
-                st.blocked_recent += 1;
-                ActivationOutcome::Blocked
-            } else {
-                st.no_candidate += 1;
-                ActivationOutcome::NoCandidate
-            };
-            return (s_local, s_global, outcome);
+        let s_local = self.measure_core(sys, slot);
+        self.per_core[slot].published = s_local;
+        // Step 3: global core speed, in ascending core order.
+        let published = self
+            .slot_of
+            .iter()
+            .flatten()
+            .map(|&k| self.per_core[k].published);
+        let s_global = decide::global_speed(published).unwrap_or(f64::NAN);
+        // Step 4 and the victim choice.
+        let mut view = SimView {
+            sys: &*sys,
+            bal: self,
+            local,
+            now: now.as_nanos(),
+            span: self.cfg.interval.as_nanos() * u64::from(self.cfg.post_migration_block),
+            allow_cross_cache,
+            numa_blocked: 0,
         };
-
-        // Pull the thread that has migrated the least, to avoid creating
-        // "hot-potato" tasks.
-        let candidates = self.managed_tasks_on(sys, victim_core);
-        let victim = candidates
-            .into_iter()
-            .min_by_key(|t| (sys.task_migrations(*t), t.0))
-            .expect("victim core verified non-empty");
+        let decision = decide::decide(
+            &mut view,
+            slot,
+            self.cores.len(),
+            s_local,
+            s_global,
+            self.cfg.speed_threshold,
+        );
+        let mut st = self.stats.borrow_mut();
+        st.numa_blocked += view.numa_blocked;
+        st.balance_attempts += u64::from(decision != Decision::BelowAverage);
+        match decision {
+            Decision::BelowAverage => {}
+            Decision::Blocked => st.blocked_recent += 1,
+            Decision::NoCandidate => st.no_candidate += 1,
+            Decision::Pull { .. } => st.migrations += 1,
+        }
+        let Decision::Pull {
+            slot: victim_slot,
+            thread,
+            remote_speed,
+        } = decision
+        else {
+            return (s_local, s_global, decision.outcome());
+        };
+        let victim_core = self.cores[victim_slot];
+        if sys.topology().common_level(victim_core, local) <= DomainLevel::Cache {
+            st.migrations_within_cache += 1;
+        } else {
+            st.migrations_cross_cache += 1;
+        }
+        drop(st);
 
         // sched_setaffinity: immediate migration, re-pinned to the local
         // core so the kernel balancer can never undo the move.
         sys.pin_task_with_reason(
-            victim,
+            thread,
             Some(local),
             MigrationReason::SpeedPull {
                 local_speed: s_local,
-                remote_speed: best_s_k,
+                remote_speed,
                 global_speed: s_global,
             },
         );
-        {
-            let mut st = self.stats.borrow_mut();
-            st.migrations += 1;
-            if sys.topology().common_level(victim_core, local)
-                <= speedbal_machine::DomainLevel::Cache
-            {
-                st.migrations_within_cache += 1;
-            } else {
-                st.migrations_cross_cache += 1;
-            }
-        }
-        for c in [local, victim_core] {
-            if let Some(p) = self.per_core[c.0].as_mut() {
-                p.last_migration = Some(now);
-                p.blocked_activations = self.cfg.post_migration_block;
-            }
+        for k in [slot, victim_slot] {
+            self.per_core[k]
+                .block
+                .claim(now.as_nanos(), self.cfg.post_migration_block);
         }
         // Post-migration, both cores' thread sets changed: restart their
         // measurement windows so the next activation sees a full interval
         // of fresh data.
         for c in [local, victim_core] {
-            for t in self.managed_tasks_on(sys, c) {
+            for t in managed_on(&self.managed, sys, c) {
                 let exec = sys.task_exec_total(t);
-                *self.snapshot_mut(t) = Some(Snapshot { exec, time: now });
+                *snapshot_mut(&mut self.snapshots, t) = Some(Snapshot { exec, time: now });
             }
         }
         (s_local, s_global, ActivationOutcome::Pulled)
@@ -433,19 +361,20 @@ impl Balancer for SpeedBalancer {
         if self.cores.is_empty() {
             self.cores = sys.topology().core_ids().collect();
         }
-        self.per_core = vec![None; sys.n_cores()];
-        self.activations = vec![0; sys.n_cores()];
-        for &c in &self.cores {
-            self.per_core[c.0] = Some(PerCore {
-                published: 1.0,
-                last_migration: None,
-                blocked_activations: 0,
-            });
+        let idle = PerCore {
+            published: 1.0,
+            block: Block::default(),
+            activations: 0,
+        };
+        self.per_core = vec![idle; self.cores.len()];
+        self.slot_of = vec![None; sys.n_cores()];
+        for (slot, c) in self.cores.iter().enumerate() {
+            self.slot_of[c.0] = Some(slot);
         }
         // Stagger the first activations like independent threads starting.
-        let startup = self.cfg.startup_delay;
-        for &c in &self.cores.clone() {
-            let mut delay = startup + self.cfg.interval;
+        for slot in 0..self.cores.len() {
+            let c = self.cores[slot];
+            let mut delay = self.cfg.startup_delay + self.cfg.interval;
             if self.cfg.randomize_interval {
                 delay += self.rng.jitter(self.cfg.interval);
             }
@@ -457,20 +386,15 @@ impl Balancer for SpeedBalancer {
     /// Round-robin initial distribution over the managed cores, hard-pinned
     /// (see [`Balancer::pin_on_place`]).
     fn place_task(&mut self, sys: &mut System, task: TaskId) -> CoreId {
-        let cores = if self.cores.is_empty() {
-            sys.topology().core_ids().collect()
-        } else {
-            self.cores.clone()
-        };
-        let n = cores.len();
+        let n = self.cores.len();
         for off in 0..n {
-            let c = cores[(self.next_rr + off) % n];
+            let c = self.cores[(self.next_rr + off) % n];
             if sys.task_may_run_on(task, c) {
                 self.next_rr = (self.next_rr + off + 1) % n;
                 // Start the measurement window at spawn.
                 let exec = sys.task_exec_total(task);
                 let now = sys.now();
-                *self.snapshot_mut(task) = Some(Snapshot { exec, time: now });
+                *snapshot_mut(&mut self.snapshots, task) = Some(Snapshot { exec, time: now });
                 return c;
             }
         }
@@ -478,7 +402,7 @@ impl Balancer for SpeedBalancer {
     }
 
     fn pin_on_place(&mut self, sys: &mut System, task: TaskId) -> bool {
-        self.is_managed(sys, task)
+        is_managed(&self.managed, sys, task)
     }
 
     fn on_timer(&mut self, sys: &mut System, key: u64) {
@@ -486,8 +410,8 @@ impl Balancer for SpeedBalancer {
             return;
         }
         let core = CoreId(keys::index(key));
-        if self.per_core.get(core.0).is_some_and(|p| p.is_some()) {
-            let (local, global, outcome) = self.balance(sys, core);
+        if let Some(&Some(slot)) = self.slot_of.get(core.0) {
+            let (local, global, outcome) = self.balance(sys, slot);
             let jitter = self.arm_timer(sys, core);
             sys.trace_event(
                 core,
@@ -865,10 +789,10 @@ mod tests {
             .collect();
         bal.on_start(&mut sys);
         sys.run_until(SimTime::from_millis(100));
-        bal.balance(&mut sys, CoreId(0));
+        bal.balance(&mut sys, 0);
         sys.run_until(SimTime::from_millis(200));
-        bal.balance(&mut sys, CoreId(0));
-        let published = bal.per_core[0].as_ref().unwrap().published;
+        bal.balance(&mut sys, 0);
+        let published = bal.per_core[0].published;
         // Two tasks sharing the core: each gets ~half the window.
         assert!(
             (published - 0.5).abs() < 0.05,
@@ -880,51 +804,13 @@ mod tests {
         let now = sys.now();
         for &t in &tasks {
             let exec = sys.task_exec_total(t);
-            *bal.snapshot_mut(t) = Some(Snapshot { exec, time: now });
+            *snapshot_mut(&mut bal.snapshots, t) = Some(Snapshot { exec, time: now });
         }
-        let held = bal.measure_core(&mut sys, CoreId(0));
+        let held = bal.measure_core(&mut sys, 0);
         assert!(
             (held - published).abs() < 1e-12,
             "zero-width windows must hold the published {published}, got {held}"
         );
-    }
-
-    #[test]
-    fn migration_block_spans_jittered_activations() {
-        // The post-migration block must last until BOTH the nominal
-        // 2-interval wall time has passed AND the core's balancer thread
-        // has completed 2 activations — jitter can stretch the activation
-        // gap to 2 intervals, so either test alone under-enforces.
-        let cfg = SpeedBalancerConfig::exact(); // interval 100 ms, block 2
-        let mut bal = SpeedBalancer::with_config(cfg, 31);
-        bal.per_core = vec![
-            Some(PerCore {
-                published: 1.0,
-                last_migration: Some(SimTime::ZERO),
-                blocked_activations: bal.cfg.post_migration_block,
-            }),
-            Some(PerCore {
-                published: 1.0,
-                last_migration: Some(SimTime::ZERO),
-                blocked_activations: 0,
-            }),
-        ];
-        // Core 0: past the nominal wall-clock block, but its own thread has
-        // not completed 2 activations yet — still blocked.
-        let after_wall = SimTime::ZERO + SimDuration::from_millis(201);
-        assert!(bal.in_migration_block(CoreId(0), after_wall));
-        bal.note_activation(CoreId(0));
-        assert!(
-            bal.in_migration_block(CoreId(0), after_wall),
-            "one jittered activation must not lift a 2-activation block"
-        );
-        bal.note_activation(CoreId(0));
-        assert!(!bal.in_migration_block(CoreId(0), after_wall));
-        // Core 1: activations already elapsed, but the nominal wall time
-        // has not — still blocked, then clear.
-        let mid_wall = SimTime::ZERO + SimDuration::from_millis(150);
-        assert!(bal.in_migration_block(CoreId(1), mid_wall));
-        assert!(!bal.in_migration_block(CoreId(1), after_wall));
     }
 
     #[test]

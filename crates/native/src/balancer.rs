@@ -15,16 +15,23 @@
 //!   sick tid cannot stall the interval loop.
 //! - **Permission failures** (`EPERM` from `sched_setaffinity`): counted
 //!   toward quarantine, never retried in-place, never panic.
-//! - **Graceful degradation**: a core with no measurable threads publishes
-//!   "no data" (NaN) and drops out of the global-speed average instead of
-//!   poisoning it with a stale or fabricated value.
+//! - **Graceful degradation**: a core whose threads cannot be measured
+//!   holds its last published speed, a core left with no thread publishes
+//!   the idle speed and pulls work back, and one that has never published
+//!   ("no data", NaN) stays out of the global-speed average.
+//!
+//! Every balancing rule (thread and core speed, the global average, the
+//! victim scan and the post-migration block) is the shared decision step
+//! in [`speedbal_core::decide`], which the simulator's speed balancer
+//! drives too. This file holds only the native balancer's own work.
 
 use crate::error::ProcError;
 use crate::source::{ProcSource, RealProc};
 use crate::topo::NativeTopology;
 use parking_lot::Mutex;
+use speedbal_core::decide::{self, Block, CoreView, Decision};
 use speedbal_machine::{CoreId, DomainLevel};
-use speedbal_sim::SimTime;
+use speedbal_sim::{SimRng, SimTime};
 use speedbal_trace::{
     ActivationOutcome, MigrationReason, ProcFaultKind, ProcOp, TraceBuffer, TraceConfig, TraceEvent,
 };
@@ -131,36 +138,61 @@ struct ThreadTable {
     blocks: Vec<Block>,
 }
 
-/// One core's post-migration block, as in the simulator's speed balancer
-/// (`speedbal_core::SpeedBalancer`). Every loop sleeps `interval +
-/// jitter(0..=interval)`, so a test on nominal time alone lets a core act
-/// again after a single jittered activation. A core touched by a
-/// migration therefore stays blocked until **both** `post_migration_block`
-/// nominal intervals have passed **and** its own balancer thread has
-/// completed that many activations.
-#[derive(Debug, Clone, Copy, Default)]
-struct Block {
-    /// Source-clock time of the core's last migration involvement.
-    since: Option<Duration>,
-    /// Own activations still to complete before the block can lift.
-    activations_left: u32,
+impl ThreadTable {
+    /// The live threads pinned to `cpu`.
+    fn on(&self, cpu: usize) -> impl Iterator<Item = (&i32, &ThreadSample)> {
+        self.live.iter().filter(move |(_, s)| s.core == cpu)
+    }
 }
 
-impl Block {
-    /// Counts one activation of the core's own balancer thread.
-    fn tick(&mut self) {
-        self.activations_left = self.activations_left.saturating_sub(1);
+/// Speeds above this are clamped: /proc CPU times are tick-granular, so a
+/// window's CPU time can overshoot its wall time.
+const MAX_SPEED: f64 = 1.5;
+
+/// Source-clock nanoseconds, the decision step's clock.
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos() as u64
+}
+
+/// The native answers to the decision step's per-core questions, read
+/// under the table lock.
+struct NativeView<'a> {
+    table: &'a ThreadTable,
+    shared: &'a Shared,
+    cores: &'a [usize],
+    local_cpu: usize,
+    /// `Some` when cross-node pulls are blocked.
+    numa: Option<&'a NativeTopology>,
+    now: u64,
+    span: u64,
+}
+
+impl CoreView for NativeView<'_> {
+    type Thread = i32;
+
+    fn speed(&self, slot: usize) -> f64 {
+        self.shared.speed_of(slot)
     }
 
-    fn active(&self, now: Duration, span: Duration) -> bool {
-        self.activations_left > 0 || self.since.is_some_and(|t| now.saturating_sub(t) < span)
+    fn rejects(&mut self, slot: usize) -> bool {
+        self.numa
+            .is_some_and(|t| t.crosses_numa(self.cores[slot], self.local_cpu))
+    }
+
+    fn blocked(&self, slot: usize) -> bool {
+        self.table.blocks[slot].active(self.now, self.span)
+    }
+
+    fn threads(&self, slot: usize) -> impl Iterator<Item = (u64, i32)> {
+        let on = self.table.on(self.cores[slot]);
+        on.map(|(tid, s)| (s.migrations, *tid))
     }
 }
 
 struct Shared {
     threads: Mutex<ThreadTable>,
     /// Published per-core speed, as f64 bits (index = position in cores).
-    /// NaN = "no data": the core abstains from the global average.
+    /// NaN = "no data yet": the core stays out of the global average.
     published: Vec<AtomicU64>,
     stats: NativeStats,
     /// Event recorder using the simulator's schema, timestamped with
@@ -191,14 +223,14 @@ impl Shared {
 
     fn trace_event(&self, now: Duration, cpu: usize, event: TraceEvent) {
         if let Some(buf) = &self.trace {
-            let now = SimTime::from_nanos(now.as_nanos() as u64);
-            buf.lock().record(now, CoreId(cpu), event);
+            buf.lock()
+                .record(SimTime::from_nanos(nanos(now)), CoreId(cpu), event);
         }
     }
 
     fn trace_spawn(&self, now: Duration, tid: i32) {
         if let Some(buf) = &self.trace {
-            let now = SimTime::from_nanos(now.as_nanos() as u64);
+            let now = SimTime::from_nanos(nanos(now));
             buf.lock()
                 .task_spawned(tid as usize, &format!("tid{tid}"), now);
         }
@@ -210,22 +242,6 @@ impl Shared {
 
     fn speed_of(&self, slot: usize) -> f64 {
         f64::from_bits(self.published[slot].load(Ordering::Relaxed))
-    }
-
-    /// Mean speed over cores that have data. Cores publishing NaN (all
-    /// their threads vanished or are quarantined) drop out of the average
-    /// instead of poisoning it; `None` when *no* core has data.
-    fn global_speed(&self) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for i in 0..self.published.len() {
-            let s = self.speed_of(i);
-            if s.is_finite() {
-                sum += s;
-                n += 1;
-            }
-        }
-        (n > 0).then(|| sum / n as f64)
     }
 
     // One parameter per TraceEvent::ProcFault field, deliberately.
@@ -282,19 +298,6 @@ impl Drop for WorkerGuard<'_> {
     }
 }
 
-/// A tiny xorshift for interval jitter (no determinism requirement here —
-/// the jitter exists precisely to decorrelate balancers).
-fn jitter_ms(state: &mut u64, max_ms: u64) -> u64 {
-    *state ^= *state << 13;
-    *state ^= *state >> 7;
-    *state ^= *state << 17;
-    if max_ms == 0 {
-        0
-    } else {
-        *state % (max_ms + 1)
-    }
-}
-
 impl NativeSpeedBalancer {
     /// Attaches to a running process through the real `/proc`, with the
     /// machine discovered from sysfs.
@@ -331,82 +334,60 @@ impl NativeSpeedBalancer {
         }
     }
 
-    /// Reads one thread's CPU time with bounded retry-with-backoff on
-    /// transient failures. Records every failed attempt as a fault event.
-    fn read_times_retrying(
+    /// Runs one OS call with bounded retry-with-backoff on transient
+    /// failures, recording every failed attempt as a fault event.
+    fn retrying<T>(
         &self,
         shared: &Shared,
         cpu: usize,
-        tid: i32,
-    ) -> Result<crate::proc::ThreadTimes, ProcError> {
+        tid: Option<i32>,
+        op: ProcOp,
+        call: impl Fn() -> Result<T, ProcError>,
+    ) -> Result<T, ProcError> {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            match self.src.thread_cpu_time(self.pid, tid) {
-                Ok(t) => return Ok(t),
-                Err(e) => {
-                    let retrying = e.is_transient() && attempt <= self.cfg.max_read_retries;
-                    shared.fault(
-                        self.src.now(),
-                        cpu,
-                        Some(tid),
-                        ProcOp::ReadCpuTime,
-                        &e,
-                        attempt,
-                        retrying,
-                    );
-                    if !retrying {
-                        return Err(e);
-                    }
-                    self.src
-                        .sleep(self.cfg.retry_backoff * (1 << (attempt - 1).min(8)));
-                }
+            let e = match call() {
+                Ok(v) => return Ok(v),
+                Err(e) => e,
+            };
+            let retrying = e.is_transient() && attempt <= self.cfg.max_read_retries;
+            shared.fault(self.src.now(), cpu, tid, op, &e, attempt, retrying);
+            if !retrying {
+                return Err(e);
             }
+            self.src
+                .sleep(self.cfg.retry_backoff * (1 << (attempt - 1).min(8)));
         }
     }
 
-    /// Lists the target's threads with bounded retry on transient errors.
-    fn list_tids_retrying(&self, shared: &Shared, cpu: usize) -> Result<Vec<i32>, ProcError> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match self.src.list_tids(self.pid) {
-                Ok(tids) => return Ok(tids),
-                Err(e) => {
-                    let retrying = e.is_transient() && attempt <= self.cfg.max_read_retries;
-                    shared.fault(
-                        self.src.now(),
-                        cpu,
-                        None,
-                        ProcOp::ListThreads,
-                        &e,
-                        attempt,
-                        retrying,
-                    );
-                    if !retrying {
-                        return Err(e);
-                    }
-                    self.src
-                        .sleep(self.cfg.retry_backoff * (1 << (attempt - 1).min(8)));
-                }
-            }
-        }
+    /// Reads one thread's CPU time, retrying transients.
+    fn read_times(&self, shared: &Shared, cpu: usize, tid: i32) -> Result<Duration, ProcError> {
+        let read = || self.src.thread_cpu_time(self.pid, tid);
+        self.retrying(shared, cpu, Some(tid), ProcOp::ReadCpuTime, read)
+            .map(|t| t.total())
     }
 
-    /// Moves a live thread into quarantine (dropping it from accounting)
-    /// once its failure streak crosses the threshold. Caller holds the
-    /// table lock.
-    fn maybe_quarantine(
+    /// Counts one failed operation against `tid` (the streak of a live
+    /// thread, or the adoption streak of one not yet adopted) and moves it
+    /// into quarantine, dropping it from accounting, once the streak
+    /// reaches the threshold. Caller holds the table lock.
+    fn strike(
         &self,
         shared: &Shared,
         table: &mut ThreadTable,
         now: Duration,
         cpu: usize,
         tid: i32,
-        failures: u32,
-    ) -> bool {
+    ) {
+        let streak = match table.live.get_mut(&tid) {
+            Some(s) => &mut s.failures,
+            None => table.adopt_failures.entry(tid).or_insert(0),
+        };
+        *streak += 1;
+        let failures = *streak;
         if failures < self.cfg.quarantine_after {
-            return false;
+            return;
         }
         table.live.remove(&tid);
         table.adopt_failures.remove(&tid);
@@ -422,7 +403,6 @@ impl NativeSpeedBalancer {
                 failures,
             },
         );
-        true
     }
 
     /// Discovers (new) threads of the target and pins them round-robin —
@@ -433,7 +413,8 @@ impl NativeSpeedBalancer {
     /// and EPERM placements count toward quarantine instead of looping.
     fn adopt_threads(&self, shared: &Shared, cores: &[usize]) -> usize {
         let scan_cpu = cores[0];
-        let Ok(tids) = self.list_tids_retrying(shared, scan_cpu) else {
+        let list = || self.src.list_tids(self.pid);
+        let Ok(tids) = self.retrying(shared, scan_cpu, None, ProcOp::ListThreads, list) else {
             return 0;
         };
         let now = self.src.now();
@@ -463,30 +444,18 @@ impl NativeSpeedBalancer {
         };
         let mut adopted = 0;
         for (tid, core) in candidates {
-            match self.src.pin_to_cpu(tid, core) {
-                Ok(()) => {}
-                Err(e @ ProcError::Vanished) => {
-                    // Raced with thread exit: not a failure streak.
-                    shared.fault(now, scan_cpu, Some(tid), ProcOp::SetAffinity, &e, 1, false);
-                    continue;
+            if let Err(e) = self.src.pin_to_cpu(tid, core) {
+                shared.fault(now, scan_cpu, Some(tid), ProcOp::SetAffinity, &e, 1, false);
+                // A race with thread exit is not a failure streak.
+                if e != ProcError::Vanished {
+                    self.strike(shared, &mut shared.threads.lock(), now, scan_cpu, tid);
                 }
-                Err(e) => {
-                    shared.fault(now, scan_cpu, Some(tid), ProcOp::SetAffinity, &e, 1, false);
-                    let mut table = shared.threads.lock();
-                    let failures = table.adopt_failures.entry(tid).or_insert(0);
-                    *failures += 1;
-                    let failures = *failures;
-                    self.maybe_quarantine(shared, &mut table, now, scan_cpu, tid, failures);
-                    continue;
-                }
+                continue;
             }
             // Transient read failures here are retried by the helper; a
             // final failure just starts the sample at zero (the first
             // measurement window will correct it).
-            let exec = self
-                .read_times_retrying(shared, scan_cpu, tid)
-                .map(|t| t.total())
-                .unwrap_or_default();
+            let exec = self.read_times(shared, scan_cpu, tid).unwrap_or_default();
             let at = self.src.now();
             let mut table = shared.threads.lock();
             if table.live.contains_key(&tid) || table.quarantined.contains_key(&tid) {
@@ -515,7 +484,6 @@ impl NativeSpeedBalancer {
     fn balance_once(&self, shared: &Shared, cores: &[usize], slot: usize, jitter: Duration) {
         shared.stats.activations.fetch_add(1, Ordering::Relaxed);
         let local_cpu = cores[slot];
-        let jitter_sim = speedbal_sim::SimDuration::from_nanos(jitter.as_nanos() as u64);
         let activation = |local: f64, global: f64, outcome: ActivationOutcome| {
             shared.trace_event(
                 self.src.now(),
@@ -525,7 +493,7 @@ impl NativeSpeedBalancer {
                     local,
                     global,
                     outcome,
-                    jitter: jitter_sim,
+                    jitter: speedbal_sim::SimDuration::from_nanos(nanos(jitter)),
                 },
             );
         };
@@ -541,74 +509,58 @@ impl NativeSpeedBalancer {
             // This activation counts toward the core's post-migration
             // block before anything consults the block.
             table.blocks[slot].tick();
-            table
-                .live
-                .iter()
-                .filter(|(_, s)| s.core == local_cpu)
-                .map(|(tid, _)| *tid)
-                .collect()
+            table.on(local_cpu).map(|(tid, _)| *tid).collect()
         };
-        let mut vanished: Vec<i32> = Vec::new();
-        let mut failed: Vec<i32> = Vec::new();
-        let mut measured: Vec<(i32, Duration)> = Vec::new();
-        for tid in tids {
-            match self.read_times_retrying(shared, local_cpu, tid) {
-                Ok(t) => measured.push((tid, t.total())),
-                Err(ProcError::Vanished) => vanished.push(tid),
-                Err(_) => failed.push(tid),
-            }
-        }
+        let read = |tid| (tid, self.read_times(shared, local_cpu, tid));
+        let reads: Vec<_> = tids.into_iter().map(read).collect();
         let now = self.src.now();
+        // The apply phase, the decision and the pull all run under the
+        // table lock, which guards the block ledger.
+        let mut table = shared.threads.lock();
         let mut local_speeds = Vec::new();
-        {
-            let mut table = shared.threads.lock();
-            // Churn: threads that exited mid-scan are simply forgotten —
-            // the next adopt pass re-lists the survivors.
-            for tid in vanished {
-                table.live.remove(&tid);
-            }
-            for tid in failed {
-                if let Some(s) = table.live.get_mut(&tid) {
-                    s.failures += 1;
-                    let failures = s.failures;
-                    self.maybe_quarantine(shared, &mut table, now, local_cpu, tid, failures);
-                }
-            }
-            for (tid, total) in measured {
-                let Some(sample) = table.live.get_mut(&tid) else {
+        for (tid, read) in reads {
+            let Some(sample) = table.live.get_mut(&tid) else {
+                continue;
+            };
+            let total = match read {
+                Ok(total) => total,
+                // Churn: threads that exited mid-scan are simply
+                // forgotten — the next adopt pass re-lists the survivors.
+                Err(ProcError::Vanished) => {
+                    table.live.remove(&tid);
                     continue;
-                };
-                if sample.core != local_cpu {
-                    continue; // pulled away while we were reading
                 }
-                sample.failures = 0;
-                let wall = now.saturating_sub(sample.at);
-                if wall < self.cfg.interval / 2 {
-                    continue; // stale window (e.g. just migrated here)
+                Err(_) => {
+                    self.strike(shared, &mut table, now, local_cpu, tid);
+                    continue;
                 }
-                let exec_delta = total.saturating_sub(sample.exec);
-                let speed = exec_delta.as_secs_f64() / wall.as_secs_f64();
-                sample.exec = total;
-                sample.at = now;
-                local_speeds.push(speed.min(1.5));
-                shared.trace_event(
-                    now,
-                    local_cpu,
-                    TraceEvent::SpeedSample {
-                        task: Some(tid as usize),
-                        speed: speed.min(1.5),
-                    },
-                );
+            };
+            if sample.core != local_cpu {
+                continue; // pulled away while we were reading
             }
+            sample.failures = 0;
+            let exec = nanos(total.saturating_sub(sample.exec));
+            let wall = nanos(now.saturating_sub(sample.at));
+            // A window shorter than half an interval (e.g. the thread just
+            // migrated here) waits for the next activation.
+            let min_wall = nanos(self.cfg.interval / 2);
+            let Some(speed) = decide::thread_speed(exec, wall, min_wall, MAX_SPEED) else {
+                continue;
+            };
+            sample.exec = total;
+            sample.at = now;
+            local_speeds.push(speed);
+            shared.trace_event(
+                now,
+                local_cpu,
+                TraceEvent::SpeedSample {
+                    task: Some(tid as usize),
+                    speed,
+                },
+            );
         }
-        // Graceful degradation: no measurable threads -> publish "no
-        // data"; this core abstains from the global average rather than
-        // reporting a fabricated speed.
-        let s_local = if local_speeds.is_empty() {
-            f64::NAN
-        } else {
-            local_speeds.iter().sum::<f64>() / local_speeds.len() as f64
-        };
+        let threads = table.on(local_cpu).count();
+        let s_local = decide::core_speed(threads, &local_speeds, shared.speed_of(slot), 1.0);
         shared.publish(slot, s_local);
         if s_local.is_finite() {
             shared.trace_event(
@@ -621,96 +573,45 @@ impl NativeSpeedBalancer {
             );
         }
 
-        // Steps 3-4.
-        let Some(s_global) = shared.global_speed() else {
-            activation(s_local, f64::NAN, ActivationOutcome::BelowAverage);
-            return;
+        // Steps 3-4 and the victim choice.
+        let s_global =
+            decide::global_speed((0..cores.len()).map(|k| shared.speed_of(k))).unwrap_or(f64::NAN);
+        let mut view = NativeView {
+            table: &table,
+            shared,
+            cores,
+            local_cpu,
+            numa: self.cfg.block_numa.then_some(&self.topo),
+            now: nanos(now),
+            span: nanos(self.cfg.interval * self.cfg.post_migration_block),
         };
-        if !s_local.is_finite() || s_local <= s_global || s_global <= 0.0 {
-            activation(s_local, s_global, ActivationOutcome::BelowAverage);
-            return;
-        }
-        // The block checks, the victim choice and the pull all run under
-        // the table lock, which guards the block ledger.
-        let span = self.cfg.interval * self.cfg.post_migration_block;
-        let mut table = shared.threads.lock();
-        if table.blocks[slot].active(now, span) {
-            drop(table);
-            activation(s_local, s_global, ActivationOutcome::Blocked);
-            return;
-        }
-        // Candidates are scanned in ring order starting just past the
-        // local core, as in the simulator: cores carrying equal thread
-        // counts publish exactly equal speeds, and a fixed low-index-first
-        // scan would resolve every tie toward the same core, starving the
-        // higher-indexed slow queues. As in the simulator, a core with no
-        // live thread is skipped inside the scan, and an activation whose
-        // only sub-threshold candidates were blocked reports `Blocked`.
-        let mut best: Option<(f64, usize, i32)> = None;
-        let mut saw_blocked = false;
-        for off in 1..cores.len() {
-            let k = (slot + off) % cores.len();
-            let cpu = cores[k];
-            let s_k = shared.speed_of(k);
-            if !s_k.is_finite() {
-                continue; // no data: cannot judge it a victim
-            }
-            if s_k / s_global >= self.cfg.speed_threshold {
-                continue;
-            }
-            if self.cfg.block_numa && self.topo.crosses_numa(cpu, local_cpu) {
-                continue;
-            }
-            if table.blocks[k].active(now, span) {
-                saw_blocked = true;
-                continue;
-            }
-            // The thread to pull is the core's least-migrated one.
-            let Some((&tid, _)) = table
-                .live
-                .iter()
-                .filter(|(_, s)| s.core == cpu)
-                .min_by_key(|(tid, s)| (s.migrations, **tid))
-            else {
-                continue;
-            };
-            if best.is_none_or(|(bs, _, _)| s_k < bs) {
-                best = Some((s_k, k, tid));
-            }
-        }
-        let Some((best_s_k, victim_slot, tid)) = best else {
-            drop(table);
-            let outcome = if saw_blocked {
-                ActivationOutcome::Blocked
-            } else {
-                ActivationOutcome::NoCandidate
-            };
-            activation(s_local, s_global, outcome);
+        let decision = decide::decide(
+            &mut view,
+            slot,
+            cores.len(),
+            s_local,
+            s_global,
+            self.cfg.speed_threshold,
+        );
+        let Decision::Pull {
+            slot: victim_slot,
+            thread: tid,
+            remote_speed,
+        } = decision
+        else {
+            activation(s_local, s_global, decision.outcome());
             return;
         };
         let victim_cpu = cores[victim_slot];
-        match self.src.pin_to_cpu(tid, local_cpu) {
-            Ok(()) => {}
-            Err(e) => {
-                shared.fault(now, local_cpu, Some(tid), ProcOp::SetAffinity, &e, 1, false);
-                match e {
-                    ProcError::Vanished => {
-                        table.live.remove(&tid);
-                    }
-                    _ => {
-                        if let Some(s) = table.live.get_mut(&tid) {
-                            s.failures += 1;
-                            let failures = s.failures;
-                            self.maybe_quarantine(
-                                shared, &mut table, now, local_cpu, tid, failures,
-                            );
-                        }
-                    }
-                }
-                drop(table);
-                activation(s_local, s_global, ActivationOutcome::NoCandidate);
-                return;
+        if let Err(e) = self.src.pin_to_cpu(tid, local_cpu) {
+            shared.fault(now, local_cpu, Some(tid), ProcOp::SetAffinity, &e, 1, false);
+            if e == ProcError::Vanished {
+                table.live.remove(&tid);
+            } else {
+                self.strike(shared, &mut table, now, local_cpu, tid);
             }
+            activation(s_local, s_global, ActivationOutcome::NoCandidate);
+            return;
         }
         if let Some(s) = table.live.get_mut(&tid) {
             s.core = local_cpu;
@@ -720,15 +621,12 @@ impl NativeSpeedBalancer {
                 s.exec = t.total();
             }
         }
-        let block = Block {
-            since: Some(now),
-            activations_left: self.cfg.post_migration_block,
-        };
-        table.blocks[slot] = block;
-        table.blocks[victim_slot] = block;
+        for k in [slot, victim_slot] {
+            table.blocks[k].claim(nanos(now), self.cfg.post_migration_block);
+        }
         shared.stats.migrations.fetch_add(1, Ordering::Relaxed);
-        // Traced before the lock is released, so no activation counted
-        // toward the new block can precede the migration in the trace.
+        // Traced under the lock, so no activation counted toward the new
+        // block can precede the migration in the trace.
         shared.trace_event(
             now,
             local_cpu,
@@ -743,12 +641,11 @@ impl NativeSpeedBalancer {
                 },
                 reason: MigrationReason::SpeedPull {
                     local_speed: s_local,
-                    remote_speed: best_s_k,
+                    remote_speed,
                     global_speed: s_global,
                 },
             },
         );
-        drop(table);
         activation(s_local, s_global, ActivationOutcome::Pulled);
     }
 
@@ -796,11 +693,14 @@ impl NativeSpeedBalancer {
                     // SAFETY: trivial syscall.
                     let self_tid = unsafe { libc::gettid() };
                     let _ = self.src.pin_to_cpu(self_tid, cores[slot]);
-                    let mut rng_state = 0x9E3779B97F4A7C15u64 ^ (slot as u64 + 1) ^ self_tid as u64;
+                    // Jitter decorrelates the balancers; no determinism is
+                    // needed here.
+                    let mut rng =
+                        SimRng::new(0x9E3779B97F4A7C15u64 ^ (slot as u64 + 1) ^ self_tid as u64);
                     let slice = Duration::from_millis(5);
                     while !stop.load(Ordering::Relaxed) && self.src.process_alive(self.pid) {
                         let base = self.cfg.interval.as_millis() as u64;
-                        let jitter = jitter_ms(&mut rng_state, base);
+                        let jitter = rng.range_inclusive(0, base);
                         // Sleep in short slices so shutdown is prompt.
                         let deadline = self.src.now() + Duration::from_millis(base + jitter);
                         loop {
@@ -837,15 +737,6 @@ mod tests {
     use super::*;
     use crate::mock::{Fault, GlobalFault, MockProc};
     use std::sync::Arc;
-
-    #[test]
-    fn jitter_is_bounded() {
-        let mut s = 42u64;
-        for _ in 0..1000 {
-            assert!(jitter_ms(&mut s, 100) <= 100);
-        }
-        assert_eq!(jitter_ms(&mut s, 0), 0);
-    }
 
     #[test]
     fn attach_rejects_dead_pid() {
@@ -1157,6 +1048,40 @@ mod tests {
     }
 
     #[test]
+    fn emptied_core_pulls_work_back() {
+        // Five threads on four cores: core 0 holds tids 1 and 5, core 1
+        // only tid 2. Once tid 2 exits and the adopt pass forgets it, core
+        // 1 has no managed thread and publishes the idle speed 1.0, so it
+        // is faster than the average and pulls core 0's least-migrated
+        // thread.
+        let mut b = MockProc::builder(980, 4);
+        for tid in 1..=5 {
+            b = b.thread(tid);
+        }
+        let mock = Arc::new(b.build());
+        let cfg = quick_cfg();
+        let bal = NativeSpeedBalancer::attach_with_source(
+            mock.pid(),
+            cfg.clone(),
+            mock.clone(),
+            mock.topology(),
+        )
+        .expect("attach");
+        let cores = bal.managed_cores();
+        let shared = Shared::new(&cores, None);
+        assert_eq!(bal.adopt_threads(&shared, &cores), 5);
+        mock.exit_thread(2);
+        assert_eq!(bal.adopt_threads(&shared, &cores), 0);
+        mock.sleep(cfg.interval);
+        for slot in [0, 1] {
+            bal.balance_once(&shared, &cores, slot, Duration::ZERO);
+        }
+        assert_eq!(shared.stats.migrations.load(Ordering::Relaxed), 1);
+        assert_eq!(mock.thread_cpu(1), Some(1), "core 0's tid 1 pulled");
+        assert_eq!(mock.thread_cpu(5), Some(0), "tid 5 stays put");
+    }
+
+    #[test]
     fn post_migration_block_spans_own_activations() {
         // Seven threads on four cores keep SPEED pulling for the whole
         // run. A 2 ms interval makes the jitter 0..=2 ms, so a loop often
@@ -1217,11 +1142,11 @@ mod tests {
     }
 
     #[test]
-    fn vanished_core_drops_out_of_global_average() {
+    fn cores_emptied_by_exits_publish_idle_and_stay_quiet() {
         // Two threads on a 2-core machine; both exit mid-run. Their cores
-        // must publish NaN and abstain rather than poisoning the average —
-        // observable as: no migrations after the exits, no panics, and the
-        // run still terminates on process death.
+        // then publish the idle speed 1.0, so neither is slower than the
+        // average — observable as: no migrations after the exits, no
+        // panics, and the run still terminates on process death.
         let mock = Arc::new(
             MockProc::builder(800, 2)
                 .thread_spanning(801, Duration::ZERO, Some(Duration::from_millis(400)))
@@ -1232,8 +1157,8 @@ mod tests {
         let stats = run_to_exit(mock.clone(), quick_cfg());
         assert_eq!(stats.threads_seen.load(Ordering::Relaxed), 2);
         assert!(mock.virtual_now() >= Duration::from_secs(2));
-        // No thread exists after 400ms, so no pull can ever fire off NaN
-        // data; the loop must still have kept activating until death.
+        // No thread exists after 400ms, so there is nothing to pull; the
+        // loop must still have kept activating until death.
         assert!(stats.activations.load(Ordering::Relaxed) > 0);
     }
 }

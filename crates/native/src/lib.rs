@@ -17,9 +17,9 @@
 //! production, [`MockProc`] with scripted fault injection in tests), and
 //! every fallible call returns a typed [`ProcError`]. The balancing loop
 //! tolerates thread churn, torn stat reads, and `EPERM` affinity failures
-//! by retrying transients with bounded backoff, quarantining persistently
-//! sick threads, and letting data-less cores abstain from the global speed
-//! average. See `DESIGN.md` §5c for the full model.
+//! by retrying transients with bounded backoff and quarantining sick
+//! threads (`DESIGN.md` §5c). Its balancing rules are the decision step
+//! it shares with the simulator, [`speedbal_core::decide`] (§5h).
 //!
 //! Differences from the 2009 implementation, documented in DESIGN.md: we
 //! read per-thread CPU time from `/proc/<pid>/task/<tid>/stat` instead of
