@@ -36,7 +36,7 @@ pub use barrier::{Barrier, WaitMode};
 pub use competitors::{BatchJob, CpuHog};
 pub use lock::{Lock, LockWorker};
 pub use server::{
-    generate_requests, ArrivalProcess, Request, ServerApp, ServerConfig, ServerMetrics,
+    generate_requests, ArrivalProcess, RequestSchedule, ServerApp, ServerConfig, ServerMetrics,
     ServerWorker, ServiceDist,
 };
 pub use spmd::{SpmdApp, SpmdConfig, SpmdThread};

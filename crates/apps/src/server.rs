@@ -296,14 +296,34 @@ impl ServerConfig {
     }
 }
 
-/// One pre-generated request: when it arrives and what each subtask
-/// costs.
+/// The pre-generated request schedule: when each request arrives and what
+/// each of its subtasks costs, every demand in one flat vector.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Request {
-    /// Nominal open-loop arrival time.
-    pub arrival: SimTime,
-    /// Nominal service demand of each subtask (`fanout` entries).
-    pub subtasks: Vec<SimDuration>,
+pub struct RequestSchedule {
+    /// Nominal open-loop arrival time of each request, in order.
+    pub arrivals: Vec<SimTime>,
+    /// Nominal service demand of request `i`'s subtask `k`, at index
+    /// `i * fanout + k`.
+    pub demands: Vec<SimDuration>,
+    /// Subtasks per request.
+    pub fanout: usize,
+}
+
+impl RequestSchedule {
+    /// Number of requests.
+    pub fn len(&self) -> usize {
+        self.arrivals.len()
+    }
+
+    /// True iff the schedule holds no request.
+    pub fn is_empty(&self) -> bool {
+        self.arrivals.is_empty()
+    }
+
+    /// The service demands of request `i`'s subtasks.
+    pub fn subtasks(&self, i: usize) -> &[SimDuration] {
+        &self.demands[i * self.fanout..(i + 1) * self.fanout]
+    }
 }
 
 /// Salt for the request-schedule RNG stream, so the schedule is
@@ -314,11 +334,15 @@ const SCHEDULE_SALT: u64 = 0x5345_5256_u64; // "SERV"
 /// subtask demands) for `cfg` from `seed`. Pure function of its inputs:
 /// the same (config, seed) yields the same schedule on every run, every
 /// policy, and every `--jobs` setting.
-pub fn generate_requests(cfg: &ServerConfig, seed: u64) -> Vec<Request> {
+pub fn generate_requests(cfg: &ServerConfig, seed: u64) -> RequestSchedule {
     assert!(cfg.fanout >= 1, "fanout must be at least 1");
     let mut rng = SimRng::new(seed).fork(SCHEDULE_SALT);
     let window_ns = cfg.window.as_nanos();
-    let mut out = Vec::new();
+    let mut out = RequestSchedule {
+        arrivals: Vec::new(),
+        demands: Vec::new(),
+        fanout: cfg.fanout,
+    };
     let mut t_ns: u64 = 0;
 
     // Draws one exponential inter-arrival gap in ns at `rate` (requests
@@ -401,19 +425,15 @@ pub fn generate_requests(cfg: &ServerConfig, seed: u64) -> Vec<Request> {
             break;
         }
         t_ns = candidate;
-        let subtasks = (0..cfg.fanout)
-            .map(|_| {
-                // Fan-out splits the request's demand: each of the K
-                // subtasks draws from the service distribution scaled by
-                // 1/K, keeping the offered load independent of K.
-                let d = cfg.service.sample(&mut rng);
-                SimDuration::from_nanos((d.as_nanos() / cfg.fanout as u64).max(1))
-            })
-            .collect();
-        out.push(Request {
-            arrival: SimTime::ZERO + SimDuration::from_nanos(t_ns),
-            subtasks,
-        });
+        out.arrivals
+            .push(SimTime::ZERO + SimDuration::from_nanos(t_ns));
+        // Fan-out splits the request's demand: each of the K subtasks
+        // draws from the service distribution scaled by 1/K, keeping the
+        // offered load independent of K.
+        out.demands.extend((0..cfg.fanout).map(|_| {
+            let d = cfg.service.sample(&mut rng);
+            SimDuration::from_nanos((d.as_nanos() / cfg.fanout as u64).max(1))
+        }));
     }
     out
 }
@@ -460,7 +480,7 @@ struct Subtask {
 
 /// Shared worker-pool state (single-threaded simulator: `Rc<RefCell>`).
 struct ServerState {
-    requests: Vec<Request>,
+    requests: RequestSchedule,
     /// Cursor into `requests`: next not-yet-admitted arrival.
     next_arrival: usize,
     /// Admitted subtasks waiting for a worker, FIFO.
@@ -553,7 +573,7 @@ impl Program for ServerWorker {
             s.metrics.service_wall.record_duration(wall);
             s.remaining[sub.req] -= 1;
             if s.remaining[sub.req] == 0 && !s.dropped[sub.req] {
-                let latency = now.saturating_since(s.requests[sub.req].arrival);
+                let latency = now.saturating_since(s.requests.arrivals[sub.req]);
                 s.metrics.latency.record_duration(latency);
                 s.metrics.completed += 1;
                 ctx.trace_event(TraceEvent::RequestComplete {
@@ -565,10 +585,10 @@ impl Program for ServerWorker {
 
         // 2. Admit every arrival whose nominal time has passed, in
         // arrival order. Whole requests admit or drop atomically.
-        while s.next_arrival < s.requests.len() && s.requests[s.next_arrival].arrival <= now {
+        while s.next_arrival < s.requests.len() && s.requests.arrivals[s.next_arrival] <= now {
             let i = s.next_arrival;
             s.next_arrival += 1;
-            let fanout = s.requests[i].subtasks.len();
+            let fanout = s.requests.fanout;
             if s.queue_capacity > 0 && s.queue.len() + fanout > s.queue_capacity {
                 s.dropped[i] = true;
                 s.metrics.dropped_queue_full += 1;
@@ -585,7 +605,7 @@ impl Program for ServerWorker {
             s.metrics.admitted += 1;
             ctx.trace_event(TraceEvent::RequestArrival {
                 request: i,
-                arrival: s.requests[i].arrival,
+                arrival: s.requests.arrivals[i],
                 queued: s.queue.len(),
             });
         }
@@ -597,7 +617,7 @@ impl Program for ServerWorker {
                     if s.dropped[sub.req] {
                         continue; // sibling of a shed request
                     }
-                    let wait = now.saturating_since(s.requests[sub.req].arrival);
+                    let wait = now.saturating_since(s.requests.arrivals[sub.req]);
                     if s.shed_after > SimDuration::ZERO && wait > s.shed_after {
                         s.dropped[sub.req] = true;
                         s.metrics.dropped_shed += 1;
@@ -613,7 +633,7 @@ impl Program for ServerWorker {
                         subtask: sub.sub,
                         wait,
                     });
-                    let demand = s.requests[sub.req].subtasks[sub.sub];
+                    let demand = s.requests.subtasks(sub.req)[sub.sub];
                     self.current = Some((sub, now));
                     break Directive::Compute(demand);
                 }
@@ -622,7 +642,7 @@ impl Program for ServerWorker {
                     // once the schedule is exhausted (in-flight
                     // subtasks finish on their own workers).
                     if s.next_arrival < s.requests.len() {
-                        let next = s.requests[s.next_arrival].arrival;
+                        let next = s.requests.arrivals[s.next_arrival];
                         break Directive::SleepFor(
                             next.saturating_since(now).max(SimDuration::from_nanos(1)),
                         );
@@ -666,10 +686,13 @@ mod tests {
         let b = generate_requests(&cfg, 7);
         assert_eq!(a, b);
         assert!(!a.is_empty());
-        assert!(a.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-        assert!(a
-            .iter()
-            .all(|r| { r.arrival < SimTime::ZERO + cfg.window && r.subtasks.len() == 1 }));
+        assert!(a.arrivals.windows(2).all(|w| w[0] <= w[1]));
+        assert!(a.arrivals.iter().all(|&t| t < SimTime::ZERO + cfg.window));
+        assert_eq!(
+            a.demands.len(),
+            a.len(),
+            "fan-out 1: one demand per request"
+        );
         let c = generate_requests(&cfg, 8);
         assert_ne!(a, c, "different seed, different schedule");
     }
@@ -685,7 +708,10 @@ mod tests {
         };
         let reqs = generate_requests(&cfg, 3);
         assert!(!reqs.is_empty());
-        assert!(reqs.iter().all(|r| r.arrival < SimTime::ZERO + cfg.window));
+        assert!(reqs
+            .arrivals
+            .iter()
+            .all(|&t| t < SimTime::ZERO + cfg.window));
 
         cfg.arrival = ArrivalProcess::Replay {
             rates_per_sec: vec![200.0, 4000.0, 200.0],
@@ -693,14 +719,19 @@ mod tests {
         };
         let reqs = generate_requests(&cfg, 3);
         assert!(!reqs.is_empty());
-        assert!(reqs.iter().all(|r| r.arrival < SimTime::ZERO + cfg.window));
+        assert!(reqs
+            .arrivals
+            .iter()
+            .all(|&t| t < SimTime::ZERO + cfg.window));
     }
 
     #[test]
     fn fanout_splits_demand() {
         let cfg = small_cfg().fanout(4);
         let reqs = generate_requests(&cfg, 1);
-        assert!(reqs.iter().all(|r| r.subtasks.len() == 4));
+        assert!(!reqs.is_empty());
+        assert_eq!(reqs.demands.len(), 4 * reqs.len());
+        assert!((0..reqs.len()).all(|i| reqs.subtasks(i).len() == 4));
     }
 
     #[test]

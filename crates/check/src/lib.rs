@@ -258,7 +258,8 @@ pub fn run_full_check(quick: bool) -> CheckReport {
     // the sweep executor (results return in deterministic order, so the
     // failure list is stable). The biased profiles aim at the timing
     // wheel's edges: bucket rollovers, the far-future overflow list,
-    // cancel-heavy slot traffic, and merges below the wheel cursor.
+    // cancel-heavy slot traffic, and merges below the wheel cursor; and
+    // at the lane tree: same-instant slot ties across tree rebuilds.
     let seeds: u64 = if quick { 8 } else { 32 };
     let ops = if quick { 1_500 } else { 4_000 };
     let profiles = [
@@ -267,6 +268,7 @@ pub fn run_full_check(quick: bool) -> CheckReport {
         DeltaProfile::FarFuture,
         DeltaProfile::CancelHeavy,
         DeltaProfile::BelowPeek,
+        DeltaProfile::Lockstep,
     ];
     let queue_jobs = profiles
         .iter()
@@ -309,7 +311,7 @@ mod tests {
     fn quick_full_check_is_green() {
         let report = run_full_check(true);
         assert!(report.ok(), "{}", report.render());
-        assert_eq!(report.queue_cases, 40, "8 seeds x 5 delta profiles");
+        assert_eq!(report.queue_cases, 48, "8 seeds x 6 delta profiles");
         assert!(
             report.diff_cases >= 6,
             "quick battery includes server and hetero cells"

@@ -3,8 +3,8 @@
 //!
 //! [`PostedQueue`] re-implements the event queue's observable contract —
 //! earliest-first, FIFO within an instant, at-most-one-armed-entry slots —
-//! with none of its machinery: no timing wheel, no armed-slot fast lane,
-//! no instant-run cache, no below-cursor batch. Entries live in a plain
+//! with none of its machinery: no timing wheel, no armed-slot fast lane
+//! and its tournament tree, no below-cursor batch. Entries live in a plain
 //! `Vec`; `pop` linearly scans for the minimum `(time, seq)` and removes
 //! it eagerly. Slow and obviously correct, which is the point: any
 //! divergence between the two implementations over the same operation
@@ -128,12 +128,15 @@ pub struct QueueCaseStats {
     pub pops: usize,
     pub schedules: usize,
     pub cancellations: usize,
+    /// Slots allocated by the end of the case.
+    pub slots: usize,
 }
 
 /// Time-delta distribution for a differential case. The production queue
 /// is a hierarchical timing wheel (64-slot levels, 6 bits each, 2^48 ns
-/// horizon), so uniform deltas alone barely graze its interesting edges;
-/// each biased profile aims the fuzzer at one of them.
+/// horizon) beside a tournament tree over the armed slots, so uniform
+/// deltas alone barely graze its interesting edges; each biased profile
+/// aims the fuzzer at one of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaProfile {
     /// Uniform 0..2 ms deltas — the original general-purpose mix.
@@ -154,12 +157,19 @@ pub enum DeltaProfile {
     /// earliest pending event, so these schedules merge into its sorted
     /// batch below the cursor.
     BelowPeek,
+    /// Every schedule lands on a shared 2 µs grid at most two points
+    /// ahead, so dozens of armed slots tie on time and only seq orders
+    /// them, as in a barrier release. Slots are allocated fast enough
+    /// that their count passes 64 and 128 with entries armed, which
+    /// rebuilds the lane tree under load.
+    Lockstep,
 }
 
 impl DeltaProfile {
-    /// One schedule delta; `gap` is the distance from the clock to the
-    /// last peeked time (zero when nothing was pending).
-    fn delta(self, rng: &mut SimRng, gap: SimDuration) -> SimDuration {
+    /// One schedule delta from the clock `now`; `gap` is the distance
+    /// from the clock to the last peeked time (zero when nothing was
+    /// pending).
+    fn delta(self, rng: &mut SimRng, now: SimTime, gap: SimDuration) -> SimDuration {
         match self {
             DeltaProfile::Uniform => SimDuration::from_micros(rng.next_below(2_000)),
             DeltaProfile::WheelBoundary => {
@@ -186,6 +196,11 @@ impl DeltaProfile {
                     SimDuration::from_micros(rng.next_below(200))
                 }
             }
+            DeltaProfile::Lockstep => {
+                const GRID: u64 = 2_000;
+                let now = now.as_nanos();
+                SimDuration::from_nanos((now.div_ceil(GRID) + rng.next_below(3)) * GRID - now)
+            }
         }
     }
 
@@ -194,7 +209,19 @@ impl DeltaProfile {
     fn op_bands(self) -> (u64, u64, u64, u64) {
         match self {
             DeltaProfile::CancelHeavy => (2, 10, 55, 85),
+            DeltaProfile::Lockstep => (11, 16, 71, 75),
             _ => (4, 29, 64, 74),
+        }
+    }
+
+    /// Ops from one peek comparison to the next. A peek replays the lane
+    /// tree's path that a pop left stale, so `Lockstep` peeks after every
+    /// other op only: a pop is then often followed by another slot's arm
+    /// or cancel with that path still stale.
+    fn peek_stride(self) -> usize {
+        match self {
+            DeltaProfile::Lockstep => 2,
+            _ => 1,
         }
     }
 }
@@ -249,7 +276,7 @@ pub fn differential_queue_case_with(
     let (alloc_hi, plain_hi, slot_hi, cancel_hi) = profile.op_bands();
     for op in 0..n_ops {
         let gap = last_peek.map_or(SimDuration::ZERO, |p| p.saturating_since(slow.now()));
-        let delta = profile.delta(&mut rng, gap);
+        let delta = profile.delta(&mut rng, slow.now(), gap);
         let at = slow.now() + delta;
         let draw = rng.next_below(100);
         // Grow the slot population early, rarely later.
@@ -285,14 +312,16 @@ pub fn differential_queue_case_with(
                 slow.len()
             ));
         }
-        let peek = fast.peek_time();
-        if peek != slow.peek_time() {
-            return Err(format!(
-                "op {op}: peek diverged — production {peek:?} vs reference {:?}",
-                slow.peek_time()
-            ));
+        if op % profile.peek_stride() == 0 {
+            let peek = fast.peek_time();
+            if peek != slow.peek_time() {
+                return Err(format!(
+                    "op {op}: peek diverged — production {peek:?} vs reference {:?}",
+                    slow.peek_time()
+                ));
+            }
+            last_peek = peek;
         }
-        last_peek = peek;
         if fast.cancellations() != cancelled {
             return Err(format!(
                 "op {op}: cancellation count diverged — production {} vs reference {cancelled}",
@@ -315,6 +344,7 @@ pub fn differential_queue_case_with(
         check_pops(&mut fast, &mut slow, n_ops)?;
         stats.pops += 1;
     }
+    stats.slots = fast_slots.len();
     let violations = fast.validate();
     if !violations.is_empty() {
         return Err(format!(
@@ -406,6 +436,16 @@ mod tests {
             let stats = differential_queue_case_with(seed, 2_000, DeltaProfile::BelowPeek)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert!(stats.pops > 0 && stats.schedules > 0);
+        }
+    }
+
+    #[test]
+    fn lockstep_bias_pops_identical_streams() {
+        for seed in 0..6 {
+            let stats = differential_queue_case_with(seed, 1_500, DeltaProfile::Lockstep)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert!(stats.pops > 0 && stats.schedules > 0);
+            assert!(stats.slots > 128, "the lane tree grew past 128 leaves");
         }
     }
 

@@ -663,6 +663,21 @@ fn run_artifact(name: &str, opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The usage text printed on `--help` and on a usage error. It names
+/// every flag [`parse_args`] accepts (checked by a unit test).
+const USAGE: &str = "\
+usage: speedbal-cli [--full] [--scale f] [--repeats n] [--machine m]
+                    [--policy p] [--trace-out file.json] [--trace-sample r]
+                    [--jobs n] [--no-cache] [-h | --help] <artifact>...
+artifacts: fig1 fig2 tab1 fig3 tab2 tab3 fig4 fig5 fig6 barriers numa serve
+           hetero all
+           trace <scenario>   (ep-3x2 ep-16x8 ep-hog cg-barrier web-serve)
+           bench [--quick] [--profile] [--out f] [--check f]
+           check [--quick] [--fuzz [--corpus f] [--only sub]
+                            [--repeat n] [--ordering p] [--out f]]
+exit codes: 1 runtime error, 2 usage error, 3 correctness violation,
+            4 I/O error";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
@@ -671,18 +686,7 @@ fn main() -> ExitCode {
             if e != "help" {
                 eprintln!("error: {e}\n");
             }
-            eprintln!(
-                "usage: speedbal-cli [--full] [--scale f] [--repeats n] [--machine m]\n\
-                 \x20                   [--policy p] [--trace-out file.json] <artifact>...\n\
-                 artifacts: fig1 fig2 tab1 fig3 tab2 tab3 fig4 fig5 fig6 barriers numa serve\n\
-                 \x20          hetero all\n\
-                 \x20          trace <scenario>   (ep-3x2 ep-16x8 ep-hog cg-barrier web-serve)\n\
-                 \x20          bench [--quick] [--out f] [--check f]\n\
-                 \x20          check [--quick] [--fuzz [--corpus f] [--only sub]\n\
-                 \x20                           [--repeat n] [--ordering p] [--out f]]\n\
-                 exit codes: 1 runtime error, 2 usage error, 3 correctness violation,\n\
-                 \x20           4 I/O error"
-            );
+            eprintln!("{USAGE}");
             return if e == "help" {
                 ExitCode::SUCCESS
             } else {
@@ -801,6 +805,37 @@ mod tests {
 
         let o = parse(&["check", "--quick"]).unwrap();
         assert!(o.bench_quick);
+    }
+
+    #[test]
+    fn usage_lists_every_flag_parse_args_accepts() {
+        // The flags are the `"--name"` literals of `parse_args`' match
+        // arms; error strings contain spaces and are skipped.
+        let src = include_str!("main.rs");
+        let body = &src[src.find("fn parse_args(").expect("parse_args is defined")..];
+        let body = &body[..body.find("\n}\n").expect("parse_args ends")];
+        let flags: Vec<&str> = body
+            .split('"')
+            .filter(|t| t.starts_with("--") && !t.contains(' '))
+            .collect();
+        for f in [
+            "--full",
+            "--jobs",
+            "--no-cache",
+            "--trace-sample",
+            "--profile",
+            "--help",
+        ] {
+            assert!(flags.contains(&f), "{f} not found among {flags:?}");
+        }
+        let words: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .collect();
+        for flag in flags {
+            assert!(words.contains(&flag), "usage omits {flag}:\n{USAGE}");
+            let unknown = format!("unknown option {flag}");
+            assert!(parse(&[flag, "1", "fig1"]).err() != Some(unknown), "{flag}");
+        }
     }
 
     #[test]

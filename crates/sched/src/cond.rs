@@ -26,6 +26,10 @@ pub struct CondTable {
     conds: Vec<Cond>,
     /// Conditions set since the system last drained wakeups, oldest first.
     pending: VecDeque<CondId>,
+    /// Emptied waiter buffers of drained conditions, handed to new ones:
+    /// a barrier episode reuses the last one's buffer instead of growing
+    /// its own, and a drained condition keeps no capacity.
+    spare: Vec<Vec<TaskId>>,
 }
 
 impl CondTable {
@@ -36,7 +40,11 @@ impl CondTable {
     /// Allocates a fresh, unset condition.
     pub fn alloc(&mut self) -> CondId {
         let id = CondId(self.conds.len());
-        self.conds.push(Cond::default());
+        let waiters = self.spare.pop().unwrap_or_default();
+        self.conds.push(Cond {
+            set: false,
+            waiters,
+        });
         id
     }
 
@@ -76,7 +84,11 @@ impl CondTable {
     /// appending after whatever `out` already holds. Lets the caller reuse
     /// one buffer across drains instead of allocating per condition.
     pub fn take_waiters_into(&mut self, id: CondId, out: &mut Vec<TaskId>) {
-        out.append(&mut self.conds[id.0].waiters);
+        let waiters = &mut self.conds[id.0].waiters;
+        out.append(waiters);
+        if waiters.capacity() > 0 {
+            self.spare.push(std::mem::take(waiters));
+        }
     }
 
     /// Number of allocated conditions (diagnostics).
@@ -151,6 +163,29 @@ mod tests {
         let mut waiters = Vec::new();
         t.take_waiters_into(c, &mut waiters);
         assert_eq!(waiters, vec![TaskId(2)]);
+    }
+
+    #[test]
+    fn drained_waiter_buffers_are_reused() {
+        let mut t = CondTable::new();
+        let c = t.alloc();
+        for i in 0..5 {
+            t.add_waiter(c, TaskId(i));
+        }
+        t.set(c);
+        let mut out = Vec::new();
+        t.take_waiters_into(c, &mut out);
+        assert_eq!(
+            t.conds[c.0].waiters.capacity(),
+            0,
+            "drained: no buffer kept"
+        );
+        let d = t.alloc();
+        assert!(t.conds[d.0].waiters.is_empty());
+        assert!(
+            t.conds[d.0].waiters.capacity() >= 5,
+            "the next condition reuses it"
+        );
     }
 
     #[test]

@@ -48,10 +48,13 @@
 //!
 //! Because slot-armed events dominate a scheduler's event traffic (one
 //! boundary event per core, re-armed on nearly every dispatch), each
-//! slot's entry is held in a dense per-slot **fast lane** — three
-//! parallel vectors indexed by slot — instead of the wheel. Arming is
-//! three stores and cancelling clears the cell. Pops serve the lane's
-//! `(time, seq)` minimum, found through the instant-run cache, directly
+//! slot's entry bypasses the wheel: it is a leaf of the **fast lane**, a
+//! tournament tree whose leaves hold `(time << 64) | seq` keys (`u128::MAX`
+//! when disarmed) and whose inner nodes hold the lesser child's key and
+//! slot. Keys are unique `(time, seq)` pairs, so node 1 is the exact lane
+//! minimum. Arming and cancelling replay one leaf-to-root path; a serve
+//! leaves its path to the next tree operation, so at most one path is
+//! stale, and only until then. Pops serve the lane minimum directly
 //! whenever it provably precedes the batch front and everything
 //! wheel-resident, using a cached conservative lower bound on the wheel's
 //! content (`wheel_lb`).
@@ -95,6 +98,30 @@ const WHEEL_SLOTS: usize = 1 << LEVEL_BITS;
 const LEVELS: usize = 8;
 /// Total bits of horizon covered by the wheel levels.
 const HORIZON_BITS: u32 = LEVEL_BITS * LEVELS as u32;
+
+/// A lane-tree node. A leaf holds its slot's armed `(time << 64) | seq`
+/// key, so one compare orders two entries by `(time, seq)`, or [`VACANT`];
+/// an inner node holds the lesser of its two children.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entrant {
+    key: u128,
+    slot: u32,
+}
+
+/// The key of a disarmed leaf; it sorts after every armed key.
+const VACANT: u128 = u128::MAX;
+const VACANT_LEAF: Entrant = Entrant {
+    key: VACANT,
+    slot: 0,
+};
+
+/// The lesser of node `i`'s two children, picked by index arithmetic, not
+/// a branch; a tie, which only vacant leaves can make, goes left.
+#[inline]
+fn winner(tree: &[Entrant], i: usize) -> Entrant {
+    let pair = &tree[2 * i..2 * i + 2];
+    pair[usize::from(pair[1].key < pair[0].key)]
+}
 
 /// A slab node: one scheduled plain event plus its intrusive list link.
 /// `event` is `None` only while the node sits on the free list.
@@ -211,28 +238,16 @@ pub struct EventQueue<E> {
     /// Pending entries across all containers, lane included (stashed
     /// entries excluded).
     count: usize,
-    /// Fast lane: scheduled time (ns) of each slot's armed entry;
-    /// `u64::MAX` = disarmed.
-    lane_time: Vec<u64>,
-    /// Fast lane: sequence number of each slot's armed entry (valid only
-    /// while armed).
-    lane_seq: Vec<u64>,
+    /// Fast lane: a tournament tree over the slots. Node 1 is the root,
+    /// slot `s`'s leaf is node `tree.len() / 2 + s`, and node 0 is unused.
+    /// The leaf row is a power of two wide, padded with vacant leaves.
+    tree: Vec<Entrant>,
+    /// The slot whose leaf a serve vacated without replaying its path
+    /// ([`NO_SLOT`] when none). That path still holds the served key,
+    /// which was the lane minimum; the next tree operation replays it.
+    stale: u32,
     /// Fast lane: payload of each slot's armed entry.
     lane_event: Vec<Option<E>>,
-    /// Instant-run cache: every lane entry armed at `run_time` when the
-    /// cache was last rebuilt, as `(seq, slot)` sorted ascending by seq,
-    /// plus same-instant late arms appended (their seqs are larger by
-    /// construction, preserving the sort). Entries go stale in place when
-    /// their slot is served, cancelled, or re-armed; the front is
-    /// validated against the lane before every use. `run_head` is the
-    /// first unconsumed index. A lockstep instant (a whole barrier's
-    /// worth of boundary events at one nanosecond) is served with one
-    /// lane scan instead of one per pop.
-    run: Vec<(u64, u32)>,
-    run_head: usize,
-    /// The instant `run` holds; meaningful only while `run_head <
-    /// run.len()`.
-    run_time: u64,
     /// Same-instant ordering engine; `None` = the FIFO default.
     reorder: Option<ReorderState>,
     /// The instant currently being served out of order: every pending
@@ -273,12 +288,9 @@ impl<E> EventQueue<E> {
             wheel_now: 0,
             wheel_lb: u64::MAX,
             count: 0,
-            lane_time: Vec::new(),
-            lane_seq: Vec::new(),
+            tree: vec![VACANT_LEAF; 2],
+            stale: NO_SLOT,
             lane_event: Vec::new(),
-            run: Vec::new(),
-            run_head: 0,
-            run_time: u64::MAX,
             reorder: None,
             stash: Vec::new(),
             stash_live: 0,
@@ -314,17 +326,61 @@ impl<E> EventQueue<E> {
     /// Allocates a slot: a handle under which at most one event is pending
     /// at a time.
     pub fn alloc_slot(&mut self) -> SlotId {
-        let id = self.lane_time.len();
+        let id = self.lane_event.len();
         assert!(id < NO_SLOT as usize, "slot namespace exhausted");
-        self.lane_time.push(u64::MAX);
-        self.lane_seq.push(0);
         self.lane_event.push(None);
+        if id == self.tree.len() / 2 {
+            // Doubling the leaf row keeps set-up O(slots) in total.
+            self.rebuild_tree(2 * id);
+        }
         SlotId(id as u32)
     }
 
     /// True iff the slot currently has a pending event.
     pub fn slot_armed(&self, slot: SlotId) -> bool {
-        self.lane_time[slot.0 as usize] != u64::MAX
+        self.tree[self.leaf(slot.0 as usize)].key != VACANT
+    }
+
+    /// Slot `s`'s leaf in the lane tree.
+    #[inline]
+    fn leaf(&self, s: usize) -> usize {
+        self.tree.len() / 2 + s
+    }
+
+    /// Rebuilds the lane tree over `leaves` leaves (a power of two, at least
+    /// the slot count), keeping every leaf's key; no path is left stale.
+    fn rebuild_tree(&mut self, leaves: usize) {
+        let mut tree = vec![VACANT_LEAF; 2 * leaves];
+        for (s, leaf) in tree[leaves..].iter_mut().enumerate() {
+            leaf.slot = s as u32;
+            leaf.key = self.tree.get(self.leaf(s)).map_or(VACANT, |old| old.key);
+        }
+        for i in (1..leaves).rev() {
+            tree[i] = winner(&tree, i);
+        }
+        self.tree = tree;
+        self.stale = NO_SLOT;
+    }
+
+    /// Replays slot `s`'s leaf-to-root path, first the stale path if it
+    /// is another slot's. Every level is replayed: an early exit costs a
+    /// branch per level, which lost to a lane scan at 16 slots or fewer.
+    #[inline]
+    fn replay(&mut self, s: usize) {
+        let stale = std::mem::replace(&mut self.stale, NO_SLOT);
+        if stale != NO_SLOT && stale as usize != s {
+            self.replay_path(stale as usize);
+        }
+        self.replay_path(s);
+    }
+
+    #[inline]
+    fn replay_path(&mut self, s: usize) {
+        let mut i = self.leaf(s);
+        while i > 1 {
+            i /= 2;
+            self.tree[i] = winner(&self.tree, i);
+        }
     }
 
     /// Selects the same-instant [`OrderingPolicy`]. Must be called while
@@ -399,22 +455,10 @@ impl<E> EventQueue<E> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let at_ns = at.as_nanos();
-        self.lane_time[s] = at_ns;
-        self.lane_seq[s] = seq;
+        let leaf = self.leaf(s);
+        self.tree[leaf].key = (u128::from(at.as_nanos()) << 64) | u128::from(seq);
         self.lane_event[s] = Some(event);
-        if self.run_head < self.run.len() {
-            if at_ns == self.run_time {
-                // Same-instant late arm: seq is the largest issued, so
-                // appending preserves the cache's seq sort.
-                self.run.push((seq, slot.0));
-            } else if at_ns < self.run_time {
-                // A new minimum undercuts the open instant; drop the
-                // cache and let the next scan rebuild at the new front.
-                self.run.clear();
-                self.run_head = 0;
-            }
-        }
+        self.replay(s);
     }
 
     /// Cancels the slot's armed event, if any.
@@ -423,17 +467,18 @@ impl<E> EventQueue<E> {
         self.stash_kill(s);
         if self.disarm(s) {
             self.count -= 1;
+            self.replay(s);
         }
     }
 
-    /// Clears slot `s`'s lane cell, returning whether it was armed (a
-    /// cancellation). The run cache needs no hook: its stale member is
-    /// skipped when it reaches the front.
+    /// Vacates slot `s`'s leaf, returning whether it was armed (a
+    /// cancellation). The caller replays the leaf's path.
     fn disarm(&mut self, s: usize) -> bool {
-        if self.lane_time[s] == u64::MAX {
+        let leaf = self.leaf(s);
+        if self.tree[leaf].key == VACANT {
             return false;
         }
-        self.lane_time[s] = u64::MAX;
+        self.tree[leaf].key = VACANT;
         self.lane_event[s] = None;
         self.cancellations += 1;
         true
@@ -709,52 +754,29 @@ impl<E> EventQueue<E> {
     }
 
     /// The earliest armed lane entry by `(time, seq)`: `(time_ns, seq,
-    /// slot)`, or `None` when no slot is armed. Served through the
-    /// instant-run cache: the front entry that still matches its lane
-    /// cell is the lane minimum (the cache holds *every* arm at
-    /// `run_time`, seq-sorted, and any arm at an earlier instant clears
-    /// it). Stale fronts — served, cancelled, or superseded slots — are
-    /// skipped in place; an exhausted cache is rebuilt with one scan over
-    /// the lane, which a whole lockstep instant then amortizes.
+    /// slot)`, or `None` when no slot is armed. Node 1 of the lane tree,
+    /// once the path a serve left stale is replayed.
     #[inline]
     fn lane_min(&mut self) -> Option<(u64, u64, usize)> {
-        loop {
-            while let Some(&(seq, slot)) = self.run.get(self.run_head) {
-                let s = slot as usize;
-                if self.lane_time[s] == self.run_time && self.lane_seq[s] == seq {
-                    return Some((self.run_time, seq, s));
-                }
-                self.run_head += 1;
-            }
-            self.run.clear();
-            self.run_head = 0;
-            let mut tmin = u64::MAX;
-            for &t in &self.lane_time {
-                tmin = tmin.min(t);
-            }
-            if tmin == u64::MAX {
-                return None;
-            }
-            for (s, &t) in self.lane_time.iter().enumerate() {
-                if t == tmin {
-                    self.run.push((self.lane_seq[s], s as u32));
-                }
-            }
-            self.run_time = tmin;
-            self.run.sort_unstable();
-            // The freshly built front is valid by construction; the next
-            // iteration returns it.
+        if self.stale != NO_SLOT {
+            self.replay(self.stale as usize);
         }
+        let Entrant { key, slot } = self.tree[1];
+        (key != VACANT).then_some(((key >> 64) as u64, key as u64, slot as usize))
     }
 
-    /// Serves slot `s`'s lane entry: disarms the slot and advances the
-    /// clock.
+    /// Serves slot `s`'s lane entry, the lane minimum, and advances the
+    /// clock. The next tree operation replays the vacated leaf's path; in
+    /// the common step that is the same slot's re-arm, one replay for two.
     fn serve_lane(&mut self, s: usize) -> ScheduledEvent<E> {
-        let time = SimTime::from_nanos(self.lane_time[s]);
+        debug_assert!(self.stale == NO_SLOT, "served past a stale lane path");
+        let leaf = self.leaf(s);
+        let time = SimTime::from_nanos((self.tree[leaf].key >> 64) as u64);
         let event = self.lane_event[s]
             .take()
             .expect("armed lane slot without an event");
-        self.lane_time[s] = u64::MAX;
+        self.tree[leaf].key = VACANT;
+        self.stale = s as u32;
         self.count -= 1;
         self.served_slot = s as u32;
         debug_assert!(time >= self.now, "queue order violated");
@@ -1007,10 +1029,9 @@ impl<E> EventQueue<E> {
         self.batch.clear();
         self.wheel_lb = u64::MAX;
         self.count = 0;
-        self.lane_time.fill(u64::MAX);
+        self.tree.fill(VACANT_LEAF);
+        self.rebuild_tree(self.tree.len() / 2);
         self.lane_event.iter_mut().for_each(|e| *e = None);
-        self.run.clear();
-        self.run_head = 0;
         self.stash.clear();
         self.stash_live = 0;
     }
@@ -1019,28 +1040,34 @@ impl<E> EventQueue<E> {
     /// violation found (empty = consistent). O(entries + buckets + slots);
     /// meant for the invariant-checking harness, not the hot path.
     ///
-    /// Checked: every lane cell is armed (time set, event present) or
-    /// vacant (neither), never before the clock; the entry counter
-    /// matches the entries actually stored; occupancy bitmaps mirror
-    /// bucket contents and `overflow_min` bounds the overflow list from
-    /// below; wheel and overflow entries lie strictly past the cursor and
-    /// at or past `wheel_lb`; the batch is sorted by `(time, seq)`, at or
-    /// below the cursor and not before the clock; the instant-run cache
-    /// holds every armed entry of its instant in seq order; the reorder
-    /// stash is consistent with its counter and the lane.
+    /// Checked: every lane leaf names its slot and mirrors its lane cell,
+    /// armed (key set, event present) or vacant (neither), never before
+    /// the clock; every inner node of the lane tree holds the lesser of
+    /// its children, except on the one path a serve left stale; the entry
+    /// counter matches the entries actually stored; occupancy bitmaps
+    /// mirror bucket contents and `overflow_min` bounds the overflow list
+    /// from below; wheel and overflow entries lie strictly past the
+    /// cursor and at or past `wheel_lb`; the batch is sorted by `(time,
+    /// seq)`, at or below the cursor and not before the clock; the
+    /// reorder stash is consistent with its counter and the lane.
     pub fn validate(&self) -> Vec<String> {
         let mut violations = Vec::new();
         let mut stored = 0usize;
-        // The fast lane.
-        for (s, &t) in self.lane_time.iter().enumerate() {
-            let has_event = self.lane_event[s].is_some();
-            if t == u64::MAX {
+        // The fast lane: its leaves, padding included.
+        let leaves = self.tree.len() / 2;
+        for (s, leaf) in self.tree[leaves..].iter().enumerate() {
+            if leaf.slot != s as u32 {
+                violations.push(format!("leaf of slot {s} names slot {}", leaf.slot));
+            }
+            let has_event = self.lane_event.get(s).is_some_and(Option::is_some);
+            if leaf.key == VACANT {
                 if has_event {
                     violations.push(format!("slot {s}'s vacant lane cell holds an event"));
                 }
                 continue;
             }
             stored += 1;
+            let t = (leaf.key >> 64) as u64;
             if !has_event {
                 violations.push(format!(
                     "slot {s} armed at {t}ns but its lane cell is empty"
@@ -1129,43 +1156,17 @@ impl<E> EventQueue<E> {
                 self.count
             ));
         }
-        // The instant-run cache: seqs strictly ascending, every
-        // still-matching member sits at the open instant, and — the
-        // property front-validation leans on — every armed lane entry at
-        // the open instant is a member while the cache is non-empty.
-        if self.run_head < self.run.len() {
-            let live_run = &self.run[self.run_head..];
-            for w in live_run.windows(2) {
-                if w[0].0 >= w[1].0 {
-                    violations.push(format!(
-                        "run cache out of seq order: {:?} before {:?}",
-                        w[0], w[1]
-                    ));
-                }
-            }
-            for &(seq, slot) in live_run {
-                let s = slot as usize;
-                if self.lane_seq[s] == seq
-                    && self.lane_time[s] != u64::MAX
-                    && self.lane_time[s] != self.run_time
-                {
-                    violations.push(format!(
-                        "run-cache member slot {s} (seq {seq}) armed at {}ns, not the open instant {}ns",
-                        self.lane_time[s], self.run_time
-                    ));
-                }
-            }
-            for (s, &t) in self.lane_time.iter().enumerate() {
-                if t == self.run_time
-                    && !live_run
-                        .iter()
-                        .any(|&(seq, slot)| slot as usize == s && seq == self.lane_seq[s])
-                {
-                    violations.push(format!(
-                        "armed lane entry of slot {s} at the open instant {}ns is missing from the run cache",
-                        self.run_time
-                    ));
-                }
+        // The lane tree's inner nodes. Those on the stale path still hold
+        // the served key, the lane minimum when served: below both
+        // children.
+        let stale_leaf = (self.stale != NO_SLOT).then(|| self.leaf(self.stale as usize));
+        for i in 1..leaves {
+            let (node, least) = (self.tree[i], winner(&self.tree, i));
+            let on_stale = stale_leaf.is_some_and(|l| l >> (l.ilog2() - i.ilog2()) == i);
+            if node != least && !(on_stale && node.slot == self.stale && node.key < least.key) {
+                violations.push(format!(
+                    "lane tree node {i} holds {node:?}, not the lesser of its children {least:?}"
+                ));
             }
         }
         // The reorder stash: the live counter matches, the stash is
@@ -1182,8 +1183,7 @@ impl<E> EventQueue<E> {
             violations.push("live stash entries under the FIFO policy".into());
         }
         for e in &self.stash {
-            if e.event.is_some() && e.slot != NO_SLOT && self.lane_time[e.slot as usize] != u64::MAX
-            {
+            if e.event.is_some() && e.slot != NO_SLOT && self.slot_armed(SlotId(e.slot)) {
                 violations.push(format!(
                     "slot {} armed while its same-instant event awaits reordered service",
                     e.slot
@@ -1234,7 +1234,7 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_instant_is_served_in_seq_order_through_the_run_cache() {
+    fn lockstep_instant_is_served_in_seq_order_from_the_lane_tree() {
         let mut q = EventQueue::new();
         let t = SimTime::from_micros(3);
         let slots: Vec<SlotId> = (0..64).map(|_| q.alloc_slot()).collect();
@@ -1441,6 +1441,36 @@ mod tests {
         assert!(
             v.iter().any(|m| m.contains("lane cell is empty")),
             "phantom-arm violation not reported: {v:?}"
+        );
+    }
+
+    #[test]
+    fn validate_flags_corrupted_lane_tree_node() {
+        let mut q = EventQueue::new();
+        let slots: Vec<SlotId> = (0..5).map(|_| q.alloc_slot()).collect();
+        for (i, &s) in slots.iter().enumerate() {
+            q.schedule_in_slot(s, SimTime::from_micros(10 - i as u64), i);
+        }
+        // Serve the minimum: its path stays stale, which is legal.
+        assert_eq!(q.pop().unwrap().event, 4);
+        assert!(q.validate().is_empty(), "{:?}", q.validate());
+        // Node 2 holds the least of slots 0..4 (slot 3); make it claim
+        // slot 0's later entry.
+        let good = q.tree[2];
+        q.tree[2] = q.tree[q.leaf(0)];
+        let v = q.validate();
+        assert!(
+            v.iter()
+                .any(|m| m.contains("not the lesser of its children")),
+            "corrupted inner node not reported: {v:?}"
+        );
+        q.tree[2] = good;
+        // Node 3 lies on the served slot 4's stale path.
+        q.tree[3] = q.tree[q.leaf(0)];
+        let v = q.validate();
+        assert!(
+            v.iter().any(|m| m.contains("node 3 holds")),
+            "corrupted stale-path node not reported: {v:?}"
         );
     }
 
