@@ -8,9 +8,11 @@
 //!
 //! * under queue-length balancing, which never fixes a one-task imbalance,
 //!   per-thread speed is `1/(T+1)`;
-//! * under ideal speed balancing every thread spends an equal share of time
-//!   on fast and slow cores: asymptotic speed `½(1/T + 1/(T+1))`, a
-//!   `(2T+1)/(2T)` speedup;
+//! * the paper claims that under speed balancing every thread spends an
+//!   equal share of time on fast and slow cores, for an asymptotic speed
+//!   of `½(1/T + 1/(T+1))`, a `(2T+1)/(2T)` speedup. No schedule beats the
+//!   capacity bound `M/N`, which that claim exceeds whenever
+//!   `FQ·T < SQ·(T+1)` ([`paper_asymptotic_speed`]);
 //! * **Lemma 1**: at most `2·⌈SQ/FQ⌉` balancing steps are needed for every
 //!   thread to have run on a fast core at least once, so speed balancing is
 //!   profitable when the program runs longer than that many balance
@@ -31,7 +33,9 @@ pub mod speeds;
 pub mod weighted;
 
 pub use lemma::{balancing_steps, is_profitable, min_profitable_granularity, ThreadSplit};
-pub use speeds::{ideal_speed, queue_length_speed, repeated_migration_speed, speedup_bound};
+pub use speeds::{
+    paper_asymptotic_speed, paper_speedup, queue_length_speed, repeated_migration_speed,
+};
 pub use weighted::{capacity_share, weighted_balancing_steps, WeightedSplit};
 
 /// One cell of Figure 1: the minimum inter-barrier computation time `S`

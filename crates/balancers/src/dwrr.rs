@@ -32,15 +32,6 @@ pub struct DwrrConfig {
     /// Safety timer forcing round maintenance even when no core event
     /// triggers it (e.g. everything expired simultaneously).
     pub maintenance_interval: SimDuration,
-    /// Weighted-core generalization: round-balancing donor selection
-    /// compares capacity-scaled loads (`threads / effective capacity`)
-    /// instead of raw counts, so an idle core relieves the queue that is
-    /// most overloaded in core-equivalents. Round slices stay CPU-time
-    /// based either way — DWRR's fairness currency is CPU time, and on a
-    /// slow core a slice simply accomplishes less work. The default
-    /// (`false`) is the count-based 2.6.22 behaviour; on homogeneous
-    /// full-speed machines both settings behave identically.
-    pub capacity_aware: bool,
 }
 
 impl Default for DwrrConfig {
@@ -48,7 +39,6 @@ impl Default for DwrrConfig {
         DwrrConfig {
             round_slice: SimDuration::from_millis(100),
             maintenance_interval: SimDuration::from_millis(20),
-            capacity_aware: false,
         }
     }
 }
@@ -137,7 +127,7 @@ impl Dwrr {
         // queued (unpinned) + round-eligible expired threads. Only the
         // non-running part is stealable (the kernel cannot move the task
         // that is on the CPU).
-        let mut best: Option<(usize, usize, CoreId, f64)> = None; // (load, stealable, core, key)
+        let mut best: Option<(usize, usize, CoreId)> = None; // (load, stealable, core)
         for c in sys.topology().core_ids() {
             if c == core {
                 continue;
@@ -159,19 +149,11 @@ impl Dwrr {
             }
             let load = unpinned + expired;
             let stealable = queued + expired;
-            // Donor ranking key: raw count, or capacity-scaled load in the
-            // weighted variant (exact f64 either way for realistic counts,
-            // so the default ranks identically to the old integer compare).
-            let key = if self.cfg.capacity_aware {
-                load as f64 / sys.core_capacity(c)
-            } else {
-                load as f64
-            };
-            if stealable > 0 && best.is_none_or(|(_, _, _, bk)| key > bk) {
-                best = Some((load, stealable, c, key));
+            if stealable > 0 && best.is_none_or(|(bl, _, _)| load > bl) {
+                best = Some((load, stealable, c));
             }
         }
-        let Some((donor_load, stealable, donor, _)) = best else {
+        let Some((donor_load, stealable, donor)) = best else {
             return false;
         };
         // The donor keeps at least one thread: stealing a busy core's only
@@ -449,46 +431,6 @@ mod tests {
         assert!(
             done <= SimTime::from_millis(1050),
             "one thread per core is already fair, got {done}"
-        );
-    }
-
-    #[test]
-    fn capacity_aware_steals_from_scaled_busiest() {
-        // Cores: 0 is 2× fast, 1 and 2 are slow. Two threads each on cores
-        // 0 and 1, core 2 idle. Count-based DWRR sees a donor tie and
-        // relieves core 0; the capacity-aware variant sees scaled loads
-        // 1.0 vs 2.0 and relieves the slow core 1.
-        let run = |capacity_aware: bool| -> Vec<usize> {
-            let mut sys = System::new(
-                speedbal_machine::asymmetric(1, 2, 2.0),
-                SchedConfig::default(),
-                CostModel::free(),
-                Box::new(Dwrr::with_config(DwrrConfig {
-                    capacity_aware,
-                    ..DwrrConfig::default()
-                })),
-                6,
-            );
-            let g = sys.new_group();
-            let mut ts = Vec::new();
-            for i in 0..4 {
-                ts.push(sys.spawn(SpawnSpec::new(
-                    compute(SimDuration::from_secs(2)),
-                    format!("t{i}"),
-                    g,
-                )));
-            }
-            // Round-robin placement put t0,t3 on core 0, t1 on core 1, t2
-            // on core 2; rearrange to the 2 / 2 / 0 start.
-            sys.migrate_task(ts[2], CoreId(1));
-            sys.run_until(SimTime::from_millis(25));
-            (0..3).map(|c| sys.queue_len(CoreId(c))).collect()
-        };
-        assert_eq!(run(false), vec![1, 2, 1], "count tie relieves core 0");
-        assert_eq!(
-            run(true),
-            vec![2, 1, 1],
-            "scaled load relieves the slow core"
         );
     }
 

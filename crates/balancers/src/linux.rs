@@ -49,19 +49,6 @@ pub struct LinuxConfig {
     pub imbalance_pct_smt: u32,
     /// Failed balance attempts before cache-hot tasks are migrated anyway.
     pub balance_failed_threshold: u32,
-    /// Model the stale-idleness start-up placement (paper footnote 1):
-    /// the placement snapshot refreshes only on balancer ticks, so bursts
-    /// of simultaneous spawns pile up and get spread out only afterwards.
-    pub stale_placement: bool,
-    /// Weighted-core generalization: compare capacity-scaled loads
-    /// (`nr_running / effective capacity`) instead of raw queue lengths,
-    /// the analogue of the kernel's later capacity-aware scheduling. The
-    /// default (`false`) is the paper's LOAD, which is speed-oblivious by
-    /// design — on asymmetric machines it equalizes *counts* and thereby
-    /// misplaces work on slow cores (the `hetero` artifact measures
-    /// exactly this). On homogeneous full-speed machines both settings
-    /// behave identically.
-    pub capacity_aware: bool,
 }
 
 impl Default for LinuxConfig {
@@ -76,8 +63,6 @@ impl Default for LinuxConfig {
             imbalance_pct: 125,
             imbalance_pct_smt: 110,
             balance_failed_threshold: 2,
-            stale_placement: true,
-            capacity_aware: false,
         }
     }
 }
@@ -188,10 +173,6 @@ impl LinuxLoadBalancer {
     /// toward `core` if the imbalance is both large enough (percentage) and
     /// improvable (difference of at least two tasks).
     fn balance_level(&mut self, sys: &mut System, core: CoreId, dom: Domain) {
-        if self.cfg.capacity_aware {
-            self.balance_level_weighted(sys, core, dom);
-            return;
-        }
         let level = dom.level;
         let local_len = sys.queue_len(core);
         let Some((busiest, busiest_len)) = dom
@@ -253,90 +234,6 @@ impl LinuxLoadBalancer {
         }
     }
 
-    /// Capacity-aware `load_balance` for one domain: same shape as the raw
-    /// path, but "load" is `nr_running / effective capacity`, so a fast
-    /// core claims proportionally more tasks. The improvement rule
-    /// generalizes "difference of at least two": tasks move one at a time
-    /// only while the donor stays at least as loaded (capacity-scaled) as
-    /// the local queue afterwards — on equal capacities this reduces
-    /// exactly to the integer rule (`diff >= 2`, move `diff / 2`).
-    fn balance_level_weighted(&mut self, sys: &mut System, core: CoreId, dom: Domain) {
-        let level = dom.level;
-        let local_cap = sys.core_capacity(core);
-        let local_len = sys.queue_len(core);
-        let local_eq = local_len as f64 / local_cap;
-        let mut best: Option<(CoreId, usize, f64, f64)> = None;
-        for c in dom.cores() {
-            if c == core {
-                continue;
-            }
-            let len = sys.queue_len(c);
-            let cap = sys.core_capacity(c);
-            let eq = len as f64 / cap;
-            let better = match best {
-                None => true,
-                Some((bc, _, _, beq)) => eq > beq || (eq == beq && c.0 < bc.0),
-            };
-            if better {
-                best = Some((c, len, cap, eq));
-            }
-        }
-        let Some((busiest, busiest_len, busiest_cap, busiest_eq)) = best else {
-            return;
-        };
-        if busiest_eq <= local_eq {
-            return;
-        }
-        // Percentage trigger on capacity-scaled loads.
-        if busiest_eq * 100.0 <= local_eq * self.imbalance_pct(level) as f64 {
-            return;
-        }
-        // Weighted one-task-mirror refusal: if moving a single task would
-        // already tip the scaled imbalance the other way, leave it alone.
-        if busiest_len == 0
-            || (busiest_len - 1) as f64 / busiest_cap < (local_len + 1) as f64 / local_cap
-        {
-            return;
-        }
-        let escalate = self.cores[core.0].nr_balance_failed > self.cfg.balance_failed_threshold;
-        let mut moved = 0usize;
-        let mut b_len = busiest_len;
-        let mut l_len = local_len;
-        while b_len > 0 && (b_len - 1) as f64 / busiest_cap >= (l_len + 1) as f64 / local_cap {
-            match self.pick_candidate(sys, busiest, core, escalate) {
-                Some(t) => {
-                    if sys.migrate_task_with_reason(t, core, MigrationReason::LoadBalance { level })
-                    {
-                        self.migrations += 1;
-                        moved += 1;
-                    }
-                    b_len -= 1;
-                    l_len += 1;
-                }
-                None => break,
-            }
-        }
-        sys.trace_event(
-            core,
-            TraceEvent::BalancerActivation {
-                policy: "LOAD",
-                local: local_eq,
-                global: busiest_eq,
-                outcome: if moved > 0 {
-                    ActivationOutcome::Pulled
-                } else {
-                    ActivationOutcome::NoCandidate
-                },
-                jitter: SimDuration::ZERO,
-            },
-        );
-        if moved == 0 {
-            self.cores[core.0].nr_balance_failed += 1;
-        } else {
-            self.cores[core.0].nr_balance_failed = 0;
-        }
-    }
-
     /// Refresh the stale placement snapshot.
     fn snapshot_lengths(&mut self, sys: &System) {
         for c in 0..sys.n_cores() {
@@ -380,33 +277,9 @@ impl Balancer for LinuxLoadBalancer {
         if allowed.is_empty() {
             return CoreId(0);
         }
-        if !self.cfg.stale_placement {
-            self.snapshot_lengths(sys);
-        }
-        // Capacity-scaled loads make an idle fast core look "idler" than an
-        // idle slow one only once both hold tasks; on an all-idle machine
-        // every core still ties at zero. (For realistic queue lengths the
-        // f64 loads are exact, so the default mode picks identically to the
-        // old integer comparison.)
-        let loads: Vec<f64> = allowed
-            .iter()
-            .map(|c| {
-                let len = self.stale_len.get(c.0).copied().unwrap_or(0) as f64;
-                if self.cfg.capacity_aware {
-                    len / sys.core_capacity(*c)
-                } else {
-                    len
-                }
-            })
-            .collect();
-        let best = loads.iter().copied().fold(f64::INFINITY, f64::min);
-        let ties: Vec<CoreId> = allowed
-            .iter()
-            .copied()
-            .zip(loads.iter())
-            .filter(|(_, l)| **l == best)
-            .map(|(c, _)| c)
-            .collect();
+        let load = |c: &CoreId| self.stale_len.get(c.0).copied().unwrap_or(0);
+        let best = allowed.iter().map(load).min().unwrap_or(0);
+        let ties: Vec<CoreId> = allowed.into_iter().filter(|c| load(c) == best).collect();
         let pick = sys.rng().pick_index(ties.len()).unwrap_or(0);
         ties[pick]
     }
@@ -456,27 +329,13 @@ impl Balancer for LinuxLoadBalancer {
     /// Newidle balancing: a core that just went empty pulls one task from
     /// the busiest queue that can spare one (length ≥ 2).
     fn on_core_idle(&mut self, sys: &mut System, core: CoreId) {
-        let pick = if self.cfg.capacity_aware {
-            // Steal from the queue with the highest capacity-scaled load
-            // among those that can spare a task.
-            sys.topology()
-                .core_ids()
-                .filter(|c| *c != core)
-                .map(|c| (c, sys.queue_len(c)))
-                .filter(|(_, l)| *l >= 2)
-                .max_by(|(a, la), (b, lb)| {
-                    let ea = *la as f64 / sys.core_capacity(*a);
-                    let eb = *lb as f64 / sys.core_capacity(*b);
-                    ea.total_cmp(&eb).then(b.0.cmp(&a.0))
-                })
-        } else {
-            sys.topology()
-                .core_ids()
-                .filter(|c| *c != core)
-                .map(|c| (c, sys.queue_len(c)))
-                .max_by_key(|(c, l)| (*l, std::cmp::Reverse(c.0)))
-        };
-        let Some((busiest, len)) = pick else {
+        let Some((busiest, len)) = sys
+            .topology()
+            .core_ids()
+            .filter(|c| *c != core)
+            .map(|c| (c, sys.queue_len(c)))
+            .max_by_key(|(c, l)| (*l, std::cmp::Reverse(c.0)))
+        else {
             return;
         };
         if len < 2 {
@@ -641,42 +500,6 @@ mod tests {
         assert_eq!(sys.task_core(a), CoreId(0));
         assert_eq!(sys.task_core(b), CoreId(0));
         assert_eq!(sys.task_migrations(a) + sys.task_migrations(b), 0);
-    }
-
-    #[test]
-    fn capacity_aware_gives_fast_cores_more_tasks() {
-        // On a 2×-fast + 1×-slow pair, 6 always-runnable threads settle at
-        // 3/3 under stock LOAD (counts equalized, speed-oblivious) but at
-        // 4/2 under the capacity-aware generalization (scaled loads 4/2 = 2
-        // on the fast core, 2/1 = 2 on the slow one).
-        let run = |capacity_aware: bool| -> Vec<usize> {
-            let mut sys = System::new(
-                speedbal_machine::asymmetric(1, 1, 2.0),
-                SchedConfig::default(),
-                CostModel::free(),
-                Box::new(LinuxLoadBalancer::with_config(LinuxConfig {
-                    capacity_aware,
-                    ..LinuxConfig::default()
-                })),
-                9,
-            );
-            let g = sys.new_group();
-            for i in 0..6 {
-                sys.spawn(SpawnSpec::new(
-                    compute(SimDuration::from_secs(5)),
-                    format!("t{i}"),
-                    g,
-                ));
-            }
-            sys.run_until(SimTime::from_secs(1));
-            (0..2).map(|c| sys.queue_len(CoreId(c))).collect()
-        };
-        assert_eq!(run(false), vec![3, 3], "stock LOAD equalizes counts");
-        assert_eq!(
-            run(true),
-            vec![4, 2],
-            "capacity-aware LOAD weights by effective speed"
-        );
     }
 
     #[test]

@@ -25,16 +25,6 @@ pub struct UleConfig {
     /// default refuses one-thread imbalances (threshold 2); setting 1
     /// models the paper's attempted `steal_thresh=1` tuning.
     pub steal_threshold: usize,
-    /// Enable idle stealing (a core that runs dry pulls from the longest
-    /// queue).
-    pub idle_steal: bool,
-    /// Weighted-core generalization: measure queue loads as
-    /// `nr_running / effective capacity` for push, steal, and placement
-    /// decisions (the threshold then applies to the scaled gap). The
-    /// default (`false`) is the count-based FreeBSD behaviour the paper
-    /// compares against; on homogeneous full-speed machines both settings
-    /// behave identically.
-    pub capacity_aware: bool,
 }
 
 impl Default for UleConfig {
@@ -42,8 +32,6 @@ impl Default for UleConfig {
         UleConfig {
             push_interval: SimDuration::from_millis(500),
             steal_threshold: 2,
-            idle_steal: true,
-            capacity_aware: false,
         }
     }
 }
@@ -87,47 +75,16 @@ impl UleBalancer {
             .core_ids()
             .map(|c| (c, sys.queue_len(c)))
             .collect();
-        if lens.is_empty() {
+        let Some(&(hi, hi_len)) = lens
+            .iter()
+            .max_by_key(|(c, l)| (*l, std::cmp::Reverse(c.0)))
+        else {
             return;
-        }
-        let (hi, lo) = if self.cfg.capacity_aware {
-            // Scaled loads: highest and lightest queues in core-equivalents,
-            // pushed when the scaled gap meets the threshold. Ties go to the
-            // lowest core index, like the count-based path.
-            let eq: Vec<f64> = lens
-                .iter()
-                .map(|&(c, l)| l as f64 / sys.core_capacity(c))
-                .collect();
-            let mut hi = 0usize;
-            let mut lo = 0usize;
-            for i in 1..lens.len() {
-                if eq[i] > eq[hi] {
-                    hi = i;
-                }
-                if eq[i] < eq[lo] {
-                    lo = i;
-                }
-            }
-            if eq[hi] - eq[lo] < self.cfg.steal_threshold as f64 {
-                return;
-            }
-            (lens[hi].0, lens[lo].0)
-        } else {
-            let Some(&(hi, hi_len)) = lens
-                .iter()
-                .max_by_key(|(c, l)| (*l, std::cmp::Reverse(c.0)))
-            else {
-                return;
-            };
-            let Some(&(lo, lo_len)) = lens.iter().min_by_key(|(c, l)| (*l, c.0)) else {
-                return;
-            };
-            if hi_len - lo_len < self.cfg.steal_threshold {
-                return;
-            }
-            (hi, lo)
         };
-        if hi == lo {
+        let Some(&(lo, lo_len)) = lens.iter().min_by_key(|(c, l)| (*l, c.0)) else {
+            return;
+        };
+        if hi == lo || hi_len - lo_len < self.cfg.steal_threshold {
             return;
         }
         if let Some(t) = self.movable(sys, hi, lo) {
@@ -153,18 +110,14 @@ impl Balancer for UleBalancer {
         sys.set_balancer_timer(keys::ULE, sys.now() + self.cfg.push_interval);
     }
 
-    /// ULE places new threads on the least-loaded queue (capacity-scaled
-    /// load when `capacity_aware` is set).
+    /// ULE places new threads on the least-loaded queue.
     fn place_task(&mut self, sys: &mut System, task: TaskId) -> CoreId {
-        let mut best: Option<(f64, CoreId)> = None;
+        let mut best: Option<(usize, CoreId)> = None;
         for c in sys.topology().core_ids() {
             if !sys.task_may_run_on(task, c) {
                 continue;
             }
-            let mut l = sys.queue_len(c) as f64;
-            if self.cfg.capacity_aware {
-                l /= sys.core_capacity(c);
-            }
+            let l = sys.queue_len(c);
             if best.is_none_or(|(bl, _)| l < bl) {
                 best = Some((l, c));
             }
@@ -190,30 +143,13 @@ impl Balancer for UleBalancer {
     }
 
     fn on_core_idle(&mut self, sys: &mut System, core: CoreId) {
-        if !self.cfg.idle_steal {
-            return;
-        }
-        let pick = if self.cfg.capacity_aware {
-            // Steal from the highest capacity-scaled load among queues that
-            // can spare a task.
-            sys.topology()
-                .core_ids()
-                .filter(|c| *c != core)
-                .map(|c| (c, sys.queue_len(c)))
-                .filter(|(_, l)| *l >= 2)
-                .max_by(|(a, la), (b, lb)| {
-                    let ea = *la as f64 / sys.core_capacity(*a);
-                    let eb = *lb as f64 / sys.core_capacity(*b);
-                    ea.total_cmp(&eb).then(b.0.cmp(&a.0))
-                })
-        } else {
-            sys.topology()
-                .core_ids()
-                .filter(|c| *c != core)
-                .map(|c| (c, sys.queue_len(c)))
-                .max_by_key(|(c, l)| (*l, std::cmp::Reverse(c.0)))
-        };
-        let Some((busiest, len)) = pick else {
+        let Some((busiest, len)) = sys
+            .topology()
+            .core_ids()
+            .filter(|c| *c != core)
+            .map(|c| (c, sys.queue_len(c)))
+            .max_by_key(|(c, l)| (*l, std::cmp::Reverse(c.0)))
+        else {
             return;
         };
         if len < 2 {
@@ -318,41 +254,6 @@ mod tests {
         assert!(
             done <= SimTime::from_millis(1300),
             "ULE should spread batch load, got {done}"
-        );
-    }
-
-    #[test]
-    fn capacity_aware_placement_weights_by_speed() {
-        // Sequentially placing 6 threads on a 2×-fast + 1×-slow pair:
-        // count-based ULE alternates to 3/3, the capacity-aware variant
-        // fills the fast core to 4/2 (scaled loads 2.0 each).
-        let run = |capacity_aware: bool| -> Vec<usize> {
-            let mut sys = System::new(
-                speedbal_machine::asymmetric(1, 1, 2.0),
-                SchedConfig::default(),
-                CostModel::free(),
-                Box::new(UleBalancer::with_config(UleConfig {
-                    capacity_aware,
-                    ..UleConfig::default()
-                })),
-                5,
-            );
-            let g = sys.new_group();
-            for i in 0..6 {
-                sys.spawn(SpawnSpec::new(
-                    compute(SimDuration::from_secs(2)),
-                    format!("t{i}"),
-                    g,
-                ));
-            }
-            sys.run_until(SimTime::from_millis(100));
-            (0..2).map(|c| sys.queue_len(CoreId(c))).collect()
-        };
-        assert_eq!(run(false), vec![3, 3], "count-based ULE alternates");
-        assert_eq!(
-            run(true),
-            vec![4, 2],
-            "scaled placement favors the fast core"
         );
     }
 

@@ -25,6 +25,10 @@
 //!               pair, a thermal-throttle ratchet): barrier SPMD and
 //!               open-loop serving under each policy, plus SPEED-W —
 //!               SPEED with capacity-weighted speed measurement
+//!   ablations   the speed balancer's §5 design choices (jitter, pull
+//!               threshold, post-migration block, cache tiers, weighting,
+//!               speed metric, NUMA blocking) in simulated time, one
+//!               table per cell with a PINNED reference row
 //!   all         everything above
 //!   trace <scenario>  record an event trace of a named scenario
 //!                     (ep-3x2, ep-16x8, ep-hog, cg-barrier, web-serve)
@@ -641,6 +645,15 @@ fn run_artifact(name: &str, opts: &Options) -> Result<(), CliError> {
             println!("== hetero/2: open-loop web serving on asymmetric machines (rho 0.7) ==");
             println!("{}", experiments::hetero_serve(p).render());
         }
+        "ablations" => {
+            for (i, (heading, table)) in experiments::ablations(p).into_iter().enumerate() {
+                if i > 0 {
+                    println!();
+                }
+                println!("== ablations/{}: {heading} ==", i + 1);
+                println!("{}", table.render());
+            }
+        }
         "all" => {
             for a in ["fig1", "fig2", "tab1", "fig3", "tab2"] {
                 run_artifact(a, opts)?;
@@ -653,7 +666,15 @@ fn run_artifact(name: &str, opts: &Options) -> Result<(), CliError> {
             println!();
             println!("{}", experiments::fig4(&cells).render());
             println!();
-            for a in ["fig5", "fig6", "barriers", "numa", "serve", "hetero"] {
+            for a in [
+                "fig5",
+                "fig6",
+                "barriers",
+                "numa",
+                "serve",
+                "hetero",
+                "ablations",
+            ] {
                 run_artifact(a, opts)?;
                 println!();
             }
@@ -670,7 +691,7 @@ usage: speedbal-cli [--full] [--scale f] [--repeats n] [--machine m]
                     [--policy p] [--trace-out file.json] [--trace-sample r]
                     [--jobs n] [--no-cache] [-h | --help] <artifact>...
 artifacts: fig1 fig2 tab1 fig3 tab2 tab3 fig4 fig5 fig6 barriers numa serve
-           hetero all
+           hetero ablations all
            trace <scenario>   (ep-3x2 ep-16x8 ep-hog cg-barrier web-serve)
            bench [--quick] [--profile] [--out f] [--check f]
            check [--quick] [--fuzz [--corpus f] [--only sub]

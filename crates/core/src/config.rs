@@ -13,7 +13,8 @@ pub enum SpeedMetric {
     ExecTime,
     /// The strawman the paper rejects: the inverse of the core's run-queue
     /// length at sampling time. Blind to sleeping/transient co-runners and
-    /// to priorities; provided for the ablation benches.
+    /// to priorities; the `queue-length-metric` row of the `ablations`
+    /// artifact.
     InverseQueueLength,
 }
 
@@ -32,7 +33,8 @@ pub struct SpeedBalancerConfig {
     /// A random increase of up to one balance interval is added at each
     /// wake-up, varying the elapsed time between checks "from one core to
     /// the next" to break migration cycles. Setting this false makes the
-    /// balancers fire in lockstep (used by ablation benches).
+    /// balancers fire in lockstep (the `no-jitter` row of the `ablations`
+    /// artifact, and `speedbal-check`'s lockstep Lemma 1 cells).
     pub randomize_interval: bool,
     /// Pull threshold `T_s`: only pull from a core whose speed satisfies
     /// `s_k / s_global < T_s`. Ensures noise does not cause spurious
@@ -60,7 +62,7 @@ pub struct SpeedBalancerConfig {
     /// candidates only on every second activation; 1 = uniform.
     pub cross_cache_interval_mult: u32,
     /// The speed measure (§5's exec-time definition by default; the
-    /// inverse-queue-length strawman for ablations).
+    /// inverse-queue-length strawman for the `ablations` artifact).
     pub metric: SpeedMetric,
     /// §5 extension for heterogeneous machines: weight each thread's
     /// measured speed "with the relative core speed", so a full CPU share

@@ -11,11 +11,11 @@ use crate::sweep::run_scenarios;
 use serde::{Deserialize, Serialize};
 use speedbal_analytic::{balancing_steps, min_profitable_granularity};
 use speedbal_apps::WaitMode;
-use speedbal_core::SpeedBalancerConfig;
+use speedbal_core::{SpeedBalancerConfig, SpeedMetric};
 use speedbal_metrics::table::fmt_f;
 use speedbal_metrics::{RepeatStats, Series, TextTable};
 use speedbal_sim::SimDuration;
-use speedbal_workloads::{ep, ep_modified, npb_suite};
+use speedbal_workloads::{ep, ep_modified, ft_b, npb_suite};
 
 /// Effort preset for the experiment sweeps.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -28,7 +28,7 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Fast preset for CI and Criterion benches.
+    /// The CLI's default preset: short runs, three repeats.
     pub fn quick() -> Profile {
         Profile {
             scale: 0.05,
@@ -943,6 +943,120 @@ pub fn hetero_serve(profile: Profile) -> TextTable {
         }
     }
     t
+}
+
+// ---------------------------------------------------------------------
+// ablations — the §5 design choices, in simulated time
+// ---------------------------------------------------------------------
+
+/// One edit of a speed-balancer configuration.
+type ConfigEdit = fn(&mut SpeedBalancerConfig);
+
+/// The §5 design choices the `ablations` artifact varies: each variant is
+/// one edit of a cell's base configuration (`default` is the base).
+const ABLATIONS: [(&str, ConfigEdit); 10] = [
+    ("default", |_| {}),
+    ("no-jitter", |c| c.randomize_interval = false),
+    ("threshold-0.99", |c| c.speed_threshold = 0.99),
+    ("threshold-0.6", |c| c.speed_threshold = 0.6),
+    ("no-post-block", |c| c.post_migration_block = 0),
+    ("post-block-6", |c| c.post_migration_block = 6),
+    ("cache-tiered-2x", |c| c.cross_cache_interval_mult = 2),
+    ("weighted-speed", |c| c.weight_core_speed = true),
+    ("queue-length-metric", |c| {
+        c.metric = SpeedMetric::InverseQueueLength
+    }),
+    ("numa-allowed", |c| c.block_numa_migrations = false),
+];
+
+/// The `ablations` variants applied to `base`, in artifact order.
+pub fn ablation_variants(base: &SpeedBalancerConfig) -> Vec<(&'static str, SpeedBalancerConfig)> {
+    ABLATIONS
+        .iter()
+        .map(|(name, edit)| {
+            let mut cfg = base.clone();
+            edit(&mut cfg);
+            (*name, cfg)
+        })
+        .collect()
+}
+
+/// ablations — the speed balancer's §5 design choices in the
+/// application's own (simulated) time. Each cell is one where some knob
+/// should matter: the oversubscribed EP cell (jitter, threshold, block),
+/// ft.B on Barcelona (NUMA blocking, cache tiers), the EP cell under ten
+/// times the default measurement noise (threshold, block), and EP on a
+/// big.LITTLE machine (weighting). Each table has a PINNED reference row
+/// and one row per variant: mean completion, its run-to-run variation,
+/// migrations, and the change in mean completion against `default`.
+pub fn ablations(profile: Profile) -> Vec<(&'static str, TextTable)> {
+    let pinned = |machine, cores, app| {
+        Scenario::new(machine, cores, Policy::Pinned, app).repeats(profile.repeats)
+    };
+    let ep_app = |threads| ep().spmd(threads, WaitMode::Yield, profile.scale);
+    let noisy = SpeedBalancerConfig {
+        measurement_noise: 0.1,
+        ..Default::default()
+    };
+    let cells = [
+        (
+            "EP x16, yield barriers, 5 Tigerton cores",
+            pinned(Machine::Tigerton, 5, ep_app(16)),
+            SpeedBalancerConfig::default(),
+        ),
+        (
+            "ft.B x16, yield barriers, 13 Barcelona cores",
+            pinned(
+                Machine::Barcelona,
+                13,
+                ft_b().spmd(16, WaitMode::Yield, profile.scale),
+            ),
+            SpeedBalancerConfig::default(),
+        ),
+        (
+            "EP x16, yield barriers, 5 Tigerton cores, measurement noise 0.1",
+            pinned(Machine::Tigerton, 5, ep_app(16)),
+            noisy,
+        ),
+        (
+            "EP x18, yield barriers, 4p8e big.LITTLE",
+            pinned(Machine::BigLittle4p8e, 0, ep_app(18)),
+            SpeedBalancerConfig::default(),
+        ),
+    ];
+    let mut scenarios = Vec::new();
+    for (_, pinned, base) in &cells {
+        scenarios.push(pinned.clone());
+        for (_, cfg) in ablation_variants(base) {
+            scenarios.push(Scenario {
+                policy: Policy::SpeedWith(cfg),
+                ..pinned.clone()
+            });
+        }
+    }
+    let mut results = run_scenarios(scenarios).into_iter();
+    let mut tables = Vec::new();
+    for (heading, _, _) in cells {
+        let rows: Vec<_> = std::iter::once("PINNED")
+            .chain(ABLATIONS.iter().map(|(name, _)| *name))
+            .zip(results.by_ref())
+            .collect();
+        // Row 0 is PINNED, row 1 the `default` variant.
+        let default_mean = rows[1].1.completion.mean();
+        let mut t = TextTable::new(&["variant", "time(s)", "var%", "migr", "vs default%"]);
+        for (name, res) in rows {
+            let mean = res.completion.mean();
+            t.row(vec![
+                name.to_string(),
+                format!("{mean:.3}"),
+                fmt_f(res.completion.variation_pct()),
+                fmt_f(res.migrations.mean()),
+                format!("{:+.1}", 100.0 * (mean / default_mean - 1.0)),
+            ]);
+        }
+        tables.push((heading, t));
+    }
+    tables
 }
 
 // ---------------------------------------------------------------------

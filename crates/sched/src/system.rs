@@ -530,12 +530,7 @@ impl System {
     }
 
     /// Tasks occupying the core's run queue (current first, then queued in
-    /// vruntime order).
-    pub fn tasks_on_core(&self, core: CoreId) -> Vec<TaskId> {
-        self.tasks_on_core_iter(core).collect()
-    }
-
-    /// Allocation-free variant of [`System::tasks_on_core`].
+    /// vruntime order), without allocating.
     pub fn tasks_on_core_iter(&self, core: CoreId) -> impl Iterator<Item = TaskId> + '_ {
         let c = &self.cores[core.0];
         c.current.into_iter().chain(c.queue.iter(&self.tasks.rq))
@@ -584,16 +579,8 @@ impl System {
         self.tasks.cold[t.0].wakeups
     }
 
-    pub fn task_rss(&self, t: TaskId) -> u64 {
-        self.tasks.cold[t.0].rss_bytes
-    }
-
     pub fn task_pinned(&self, t: TaskId) -> Option<CoreId> {
         self.tasks.cold[t.0].pinned
-    }
-
-    pub fn task_spawned_at(&self, t: TaskId) -> SimTime {
-        self.tasks.cold[t.0].spawned_at
     }
 
     pub fn task_exited_at(&self, t: TaskId) -> Option<SimTime> {
@@ -781,11 +768,6 @@ impl System {
         self.events.cancellations()
     }
 
-    /// Live (undelivered, uncancelled) events currently pending.
-    pub fn events_pending(&self) -> usize {
-        self.events.len()
-    }
-
     /// Total CPU-busy time accumulated by a core (excludes the in-flight
     /// stretch).
     pub fn core_busy_time(&self, core: CoreId) -> SimDuration {
@@ -854,7 +836,6 @@ impl System {
             pending_stall: SimDuration::ZERO,
             suspended: false,
             program: Some(spec.program),
-            spawned_at: now,
             exited_at: None,
             sleep_gen: 0,
         };

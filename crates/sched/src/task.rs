@@ -117,7 +117,6 @@ pub(crate) struct Task {
     pub suspended: bool,
     /// The thread body; taken out temporarily while `next()` runs.
     pub program: Option<Box<dyn Program>>,
-    pub spawned_at: SimTime,
     pub exited_at: Option<SimTime>,
     /// Generation counter for timed sleeps, to invalidate stale wake events.
     pub sleep_gen: u64,
@@ -135,7 +134,6 @@ pub(crate) struct TaskCold {
     pub home_node: Option<NodeId>,
     pub rss_bytes: u64,
     pub program: Option<Box<dyn Program>>,
-    pub spawned_at: SimTime,
     pub exited_at: Option<SimTime>,
 }
 
@@ -197,7 +195,6 @@ impl TaskTable {
             home_node: t.home_node,
             rss_bytes: t.rss_bytes,
             program: t.program,
-            spawned_at: t.spawned_at,
             exited_at: t.exited_at,
         });
     }
@@ -265,7 +262,6 @@ mod tests {
             pending_stall: SimDuration::ZERO,
             suspended: false,
             program: None,
-            spawned_at: SimTime::ZERO,
             exited_at: None,
             sleep_gen: 0,
         });

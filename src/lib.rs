@@ -75,8 +75,8 @@ pub use speedbal_workloads as workloads;
 /// The most commonly used types, in one import.
 pub mod prelude {
     pub use speedbal_analytic::{
-        balancing_steps, ideal_speed, is_profitable, min_profitable_granularity,
-        queue_length_speed, repeated_migration_speed, speedup_bound,
+        balancing_steps, is_profitable, min_profitable_granularity, paper_asymptotic_speed,
+        paper_speedup, queue_length_speed, repeated_migration_speed,
     };
     pub use speedbal_apps::{Barrier, BatchJob, CpuHog, SpmdApp, SpmdConfig, WaitMode};
     pub use speedbal_balancers::{CompositeBalancer, Dwrr, LinuxLoadBalancer, Pinned, UleBalancer};
