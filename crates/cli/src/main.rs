@@ -54,9 +54,11 @@
 //!   4  I/O error (a requested path could not be read or written)
 //!
 //! options:
-//!   --full           paper-scale runs (scale 0.5, 10 repeats) [default: quick]
-//!   --scale <f>      explicit run-length scale
-//!   --repeats <n>    explicit repeat count
+//!   --full           paper-scale runs (scale 0.5, 10 repeats) [default:
+//!                    scale 0.05, 3 repeats; `results_quick.txt` is
+//!                    `--scale 0.25 --repeats 5`]
+//!   --scale <f>      explicit run-length scale [default: 0.05]
+//!   --repeats <n>    explicit repeat count [default: 3]
 //!   --machine <m>    fig3 machine: tigerton | barcelona | nehalem
 //!   --policy <p>     trace policy: pinned|load|speed|dwrr|ule|ule-tuned
 //!                    [default: speed and load]

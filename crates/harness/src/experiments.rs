@@ -1175,6 +1175,7 @@ mod tests {
 
     #[test]
     fn fig2_runs_and_orders_sanely() {
+        let _g = crate::sweep::tests::global_guard();
         let f = fig2(Profile {
             scale: 0.01,
             repeats: 2,
@@ -1194,6 +1195,7 @@ mod tests {
 
     #[test]
     fn fig3_quick_shape() {
+        let _g = crate::sweep::tests::global_guard();
         let f = fig3(Machine::Tigerton, tiny());
         assert_eq!(f.series.len(), 8);
         // One-per-core scales perfectly (within a few percent).
@@ -1210,6 +1212,7 @@ mod tests {
 
     #[test]
     fn fig5_fig6_barriers_numa_smoke() {
+        let _g = crate::sweep::tests::global_guard();
         // Tiny-profile smoke coverage of the remaining regenerators: they
         // must produce complete artifacts with sane values.
         let p = Profile {
@@ -1231,6 +1234,7 @@ mod tests {
 
     #[test]
     fn serve_tables_have_expected_shape() {
+        let _g = crate::sweep::tests::global_guard();
         let p = Profile {
             scale: 0.02,
             repeats: 1,

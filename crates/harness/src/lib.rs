@@ -16,7 +16,7 @@ pub use scenario::{
 };
 pub use sweep::{
     cache_cap_bytes, cache_enabled, effective_jobs, evict_cache_to_cap, reset_sweep_stats,
-    run_scenarios, run_sweep, run_sweep_with_stats, scenario_cache_key, set_cache_cap_bytes,
-    set_cache_dir, set_cache_enabled, set_jobs, sweep_stats, CacheKey, CacheValue, SweepJob,
-    SweepStats, DEFAULT_CACHE_CAP_BYTES, SWEEP_SCHEMA_VERSION,
+    run_scenarios, run_sweep, scenario_cache_key, set_cache_cap_bytes, set_cache_dir,
+    set_cache_enabled, set_jobs, sweep_stats, CacheKey, SweepJob, SweepStats,
+    DEFAULT_CACHE_CAP_BYTES, SWEEP_SCHEMA_VERSION,
 };

@@ -643,18 +643,16 @@ pub fn run_sweep_bench(cfg: &BenchConfig) -> SweepBenchReport {
     // A fraction of the hot-path bench scale: the grid multiplies the work
     // by 12 cells × 2 repeats.
     let scale = (cfg.scale * 0.2).max(0.005);
-    let jobs_of = |scenarios: Vec<crate::scenario::Scenario>| {
-        scenarios
-            .into_iter()
-            .map(|s| {
-                let key = sweep::scenario_cache_key(&s);
-                let cost = sweep::scenario_cost(&s);
-                sweep::SweepJob::cached(cost, key, move || crate::scenario::run_scenario(&s))
-            })
-            .collect::<Vec<_>>()
+    let before = sweep::sweep_stats();
+    let cold = sweep::run_scenarios(sweep_bench_scenarios(scale));
+    let mid = sweep::sweep_stats();
+    let warm = sweep::run_scenarios(sweep_bench_scenarios(scale));
+    let warm_hits = sweep::sweep_stats().cache_hits - mid.cache_hits;
+    let cold_stats = sweep::SweepStats {
+        cells: mid.cells - before.cells,
+        wall_secs: mid.wall_secs - before.wall_secs,
+        ..sweep::SweepStats::default()
     };
-    let (cold, cold_stats) = sweep::run_sweep_with_stats(jobs_of(sweep_bench_scenarios(scale)));
-    let (warm, warm_stats) = sweep::run_sweep_with_stats(jobs_of(sweep_bench_scenarios(scale)));
 
     sweep::set_cache_enabled(prev_enabled);
     sweep::set_cache_dir(None);
@@ -675,7 +673,7 @@ pub fn run_sweep_bench(cfg: &BenchConfig) -> SweepBenchReport {
         cells: cold_stats.cells,
         wall_secs: cold_stats.wall_secs,
         cells_per_sec: cold_stats.cells_per_sec(),
-        cache_hits: warm_stats.cache_hits,
+        cache_hits: warm_hits,
         jobs: sweep::effective_jobs(),
     }
 }

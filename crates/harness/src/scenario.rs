@@ -534,8 +534,9 @@ pub fn run_scenario_with_traces(s: &Scenario) -> (ScenarioResult, Vec<Option<Tra
 }
 
 /// Folds per-repeat outcomes (in repeat order) into a [`ScenarioResult`].
-/// Shared by the cell-level path above and the sweep executor's
-/// repeat-level split, so both assemble bit-identical numbers.
+/// Shared by the cell-level path above and the sweep planner, whose
+/// misses may run one job per repeat, so both assemble bit-identical
+/// numbers.
 pub(crate) fn assemble_outcomes(
     s: &Scenario,
     outcomes: Vec<RepeatOutcome>,
@@ -571,7 +572,7 @@ pub(crate) fn assemble_outcomes(
 /// `SPEEDBAL_JOBS` budget, and runs single-threaded inside a sweep worker
 /// (the sweep executor already owns the machine's parallelism; nesting a
 /// per-cell repeat pool underneath it would oversubscribe every core).
-fn run_repeats(s: &Scenario, traced: bool) -> Vec<RepeatOutcome> {
+pub(crate) fn run_repeats(s: &Scenario, traced: bool) -> Vec<RepeatOutcome> {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -18,15 +18,21 @@
 //!   not serialize the tail of the sweep. Scheduling order affects wall
 //!   clock only, never results.
 //!
-//! On top sits a **content-addressed result cache**: a job whose inputs
-//! hash to a key already present under `target/sweep-cache/` is skipped
-//! and its result deserialized — bit-for-bit, floats round-trip as raw
+//! On top sits a **content-addressed result cache**: a cell whose inputs
+//! hash to a key already present under `target/sweep-cache/` is not run;
+//! its result is deserialized — bit-for-bit, floats round-trip as raw
 //! bit patterns — from disk. Keys hash the full `Scenario` (every field,
 //! via its `Debug` form) plus [`SWEEP_SCHEMA_VERSION`]; bump the version
 //! whenever simulator semantics change so stale cells can never resurface.
 //! The cache is **off by default in library use** (tests must re-run the
 //! simulator, not replay yesterday's build) and enabled explicitly by
 //! `speedbal-cli` (bypass with `--no-cache`).
+//!
+//! [`run_scenarios`] is one planner over both: it keys every scenario and
+//! answers each hit on the calling thread, sends only the misses to the
+//! pool, stores them, and trims the cache to its size cap once after
+//! every sweep that stored something. A fully warm sweep therefore starts
+//! no worker and never scans the cache directory.
 //!
 //! The worker count comes from `--jobs N` / `SPEEDBAL_JOBS` / available
 //! parallelism, in that precedence, and the same budget caps the
@@ -36,12 +42,12 @@
 
 use crate::perf::json;
 use crate::scenario::{
-    assemble_outcomes, next_trace_seq, run_repeat, run_scenario, run_scenario_with_traces,
-    trace_output_base, write_trace_files_with_seq, Competitor, RepeatOutcome, Scenario,
-    ScenarioResult, ServerStats,
+    assemble_outcomes, next_trace_seq, run_repeat, run_repeats, trace_output_base,
+    write_trace_files_with_seq, Competitor, Scenario, ScenarioResult, ServerStats,
 };
 use speedbal_metrics::RepeatStats;
 use std::cell::Cell;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -136,7 +142,7 @@ pub fn set_cache_enabled(on: bool) {
     CACHE_ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether cached jobs may read/write `target/sweep-cache/`.
+/// Whether [`run_scenarios`] may read/write `target/sweep-cache/`.
 pub fn cache_enabled() -> bool {
     CACHE_ENABLED.load(Ordering::Relaxed)
 }
@@ -184,15 +190,17 @@ pub fn cache_dir() -> PathBuf {
 /// [`reset_sweep_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SweepStats {
-    /// Jobs submitted to the executor.
+    /// Scenarios submitted to [`run_scenarios`] plus jobs submitted to
+    /// [`run_sweep`].
     pub cells: u64,
-    /// Cached jobs answered from disk without running.
+    /// Scenarios answered from disk without running.
     pub cache_hits: u64,
-    /// Cached jobs that had to run (result persisted afterwards).
+    /// Cacheable scenarios that had to run (result persisted afterwards).
     pub cache_misses: u64,
     /// Cache files deleted (oldest first) to honour the size cap.
     pub evictions: u64,
-    /// Wall-clock seconds spent inside `run_sweep` calls.
+    /// Wall-clock seconds spent inside `run_scenarios` and `run_sweep`
+    /// calls, planning included.
     pub wall_secs: f64,
 }
 
@@ -227,147 +235,87 @@ pub fn reset_sweep_stats() {
     STAT_WALL_NANOS.store(0, Ordering::Relaxed);
 }
 
+/// Adds one executor call's cells and wall time to the cumulative stats.
+fn record_call(cells: usize, start: Instant) {
+    STAT_CELLS.fetch_add(cells as u64, Ordering::Relaxed);
+    STAT_WALL_NANOS.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+}
+
 // ---------------------------------------------------------------------
 // Jobs and the executor
 // ---------------------------------------------------------------------
 
-/// Per-sweep counters threaded into cached jobs at run time.
-#[derive(Default)]
-struct SweepCtx {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
+type JobFn<T> = Box<dyn FnOnce() -> T + Send>;
 
-type JobFn<T> = Box<dyn FnOnce(&SweepCtx) -> T + Send>;
-
-/// One unit of sweep work: a cost hint plus a closure producing the cell
-/// result. Build with [`SweepJob::new`] (always runs) or
-/// [`SweepJob::cached`] (skipped on a cache hit).
+/// One unit of [`run_sweep`] work: a cost hint plus a closure producing
+/// the cell result.
 pub struct SweepJob<T> {
     cost: u64,
     run: JobFn<T>,
 }
 
 impl<T: Send + 'static> SweepJob<T> {
-    /// An uncached job. `cost` is a relative expected-duration hint
-    /// (larger = scheduled earlier); it affects wall clock only.
+    /// A job. `cost` is a relative expected-duration hint (larger =
+    /// scheduled earlier); it affects wall clock only.
     pub fn new(cost: u64, f: impl FnOnce() -> T + Send + 'static) -> SweepJob<T> {
         SweepJob {
             cost,
-            run: Box::new(move |_| f()),
+            run: Box::new(f),
         }
     }
 }
 
-impl<T: Send + CacheValue + 'static> SweepJob<T> {
-    /// A content-addressed job: when the cache is enabled and `key` is
-    /// present on disk (same [`SWEEP_SCHEMA_VERSION`]), the stored result
-    /// is returned without running `f`; otherwise `f` runs and its result
-    /// is persisted. With the cache disabled this is exactly
-    /// [`SweepJob::new`].
-    pub fn cached(cost: u64, key: CacheKey, f: impl FnOnce() -> T + Send + 'static) -> SweepJob<T> {
-        SweepJob {
-            cost,
-            run: Box::new(move |ctx| {
-                if !cache_enabled() {
-                    return f();
-                }
-                if let Some(v) = cache_load::<T>(key) {
-                    ctx.hits.fetch_add(1, Ordering::Relaxed);
-                    STAT_HITS.fetch_add(1, Ordering::Relaxed);
-                    return v;
-                }
-                ctx.misses.fetch_add(1, Ordering::Relaxed);
-                STAT_MISSES.fetch_add(1, Ordering::Relaxed);
-                let v = f();
-                cache_store(key, &v);
-                v
-            }),
-        }
-    }
-}
-
-/// Runs every job and returns the results in submission order. See
-/// [`run_sweep_with_stats`] for the per-call statistics.
+/// Runs every job on up to [`effective_jobs`] scoped workers,
+/// longest-expected-first, and returns the results in submission order.
+/// A plain pool: it never reads or writes the cache.
 pub fn run_sweep<T: Send>(jobs: Vec<SweepJob<T>>) -> Vec<T> {
-    run_sweep_with_stats(jobs).0
+    let start = Instant::now();
+    let costs: Vec<u64> = jobs.iter().map(|j| j.cost).collect();
+    let runs: Vec<Mutex<Option<JobFn<T>>>> =
+        jobs.into_iter().map(|j| Mutex::new(Some(j.run))).collect();
+    let results = run_pool(&costs, |i| {
+        let run = runs[i].lock().unwrap().take();
+        run.expect("each job taken exactly once")()
+    });
+    record_call(results.len(), start);
+    results
 }
 
-/// Runs every job on up to [`effective_jobs`] scoped workers —
-/// longest-expected-first, results committed in submission order — and
-/// returns `(results, this call's statistics)`.
-pub fn run_sweep_with_stats<T: Send>(jobs: Vec<SweepJob<T>>) -> (Vec<T>, SweepStats) {
-    let n = jobs.len();
-    if n == 0 {
-        return (Vec::new(), SweepStats::default());
+/// Runs `job(i)` for every `i < costs.len()` on up to [`effective_jobs`]
+/// scoped workers, pulling the largest `costs[i]` first (ties in index
+/// order; only wall clock depends on this), and returns the results in
+/// index order.
+fn run_pool<T: Send>(costs: &[u64], job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let n = costs.len();
+    let workers = effective_jobs().min(n);
+    if workers <= 1 {
+        // Inline on the caller's thread, which keeps its parallel repeat
+        // pool (see `repeat_pool_cap`).
+        return (0..n).map(job).collect();
     }
-    let start = Instant::now();
-    let ctx = SweepCtx::default();
-    let workers = effective_jobs().min(n).max(1);
-
-    let results: Vec<T> = if workers == 1 {
-        // Inline serial execution: submission order, caller's thread (so a
-        // single-cell sweep still gets a parallel repeat pool underneath).
-        jobs.into_iter().map(|j| (j.run)(&ctx)).collect()
-    } else {
-        // Longest-expected-first pull order; ties resolve to submission
-        // order. Only wall clock depends on this.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].cost));
-        let cells: Vec<Mutex<Option<JobFn<T>>>> =
-            jobs.into_iter().map(|j| Mutex::new(Some(j.run))).collect();
-        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    IN_SWEEP_WORKER.with(|f| f.set(true));
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= n {
-                            break;
-                        }
-                        let i = order[k];
-                        let run = cells[i]
-                            .lock()
-                            .unwrap()
-                            .take()
-                            .expect("each job taken exactly once");
-                        let v = run(&ctx);
-                        *slots[i].lock().unwrap() = Some(v);
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .unwrap()
-                    .expect("every sweep slot filled by a worker")
-            })
-            .collect()
-    };
-
-    // Enforce the cache size cap once per sweep, after all stores: the
-    // working set of the sweep itself is never evicted mid-run.
-    let evicted = if cache_enabled() {
-        evict_cache_to_cap()
-    } else {
-        0
-    };
-
-    let wall = start.elapsed();
-    STAT_CELLS.fetch_add(n as u64, Ordering::Relaxed);
-    STAT_WALL_NANOS.fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-    let stats = SweepStats {
-        cells: n as u64,
-        cache_hits: ctx.hits.load(Ordering::Relaxed),
-        cache_misses: ctx.misses.load(Ordering::Relaxed),
-        evictions: evicted,
-        wall_secs: wall.as_secs_f64(),
-    };
-    (results, stats)
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                IN_SWEEP_WORKER.with(|f| f.set(true));
+                while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let v = job(i);
+                    *slots[i].lock().unwrap() = Some(v);
+                }
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .unwrap()
+                .expect("every sweep slot filled by a worker")
+        })
+        .collect()
 }
 
 /// Shrinks the cache directory to [`cache_cap_bytes`] by deleting the
@@ -440,147 +388,114 @@ pub fn scenario_cost(s: &Scenario) -> u64 {
         .max(1)
 }
 
-/// Runs a batch of scenarios through the executor, returning one
-/// [`ScenarioResult`] per scenario in submission order — byte-identical
-/// to calling [`run_scenario`] in a serial loop. Cells are cached by
-/// content hash unless they carry side effects (tracing), which must
-/// re-run to produce their trace files.
+/// A submitted scenario the cache did not answer.
+struct Miss {
+    /// Its position in the submitted batch.
+    slot: usize,
+    scenario: Scenario,
+    /// Where its result is stored; `None` with the cache off or traced.
+    key: Option<CacheKey>,
+    /// The trace sequence number a traced cell claimed at submission.
+    trace_seq: Option<u64>,
+}
+
+/// Runs a batch of scenarios, returning one [`ScenarioResult`] per
+/// scenario in submission order — byte-identical to calling
+/// [`run_scenario`](crate::scenario::run_scenario) in a serial loop.
 ///
-/// Narrow batches — fewer cells than the worker budget, e.g. one
-/// full-scale scenario run at 5 repeats on an 8-way box — would leave
-/// most of the pool idle at cell granularity, so they are fanned out at
-/// *repeat* granularity instead (see `run_scenarios_split`).
+/// The planner keys every scenario and answers each cache hit here, on
+/// the calling thread; only the misses go to the pool. They go as whole
+/// cells, or — when fewer misses than workers remain, e.g. one
+/// full-scale scenario at 5 repeats on an 8-way box — one job per
+/// repeat, so a narrow sweep still fills the pool. Repeat `r` always runs
+/// seed `scenario.seed + r` in a fresh `System` and outcomes are folded
+/// in repeat order, so the numbers are the same either way. Assembled
+/// misses are stored and the cache is trimmed to its cap once, only if
+/// something was stored. Traced cells (and every cell under
+/// `--trace-out`) are never cached and always run whole: their trace
+/// files are a side effect the cache cannot replay.
 pub fn run_scenarios(scenarios: Vec<Scenario>) -> Vec<ScenarioResult> {
-    if !scenarios.is_empty() && scenarios.len() < effective_jobs() {
-        return run_scenarios_split(scenarios);
-    }
-    let jobs = scenarios.into_iter().map(scenario_job).collect();
-    run_sweep(jobs)
-}
-
-/// One planned scenario of the repeat-split path: how its jobs fold back
-/// into a result.
-enum SplitPlan {
-    /// Answered from the cache at planning time; contributes no jobs.
-    Done(Box<ScenarioResult>),
-    /// One whole-cell job (traced cells keep their side effects together).
-    Whole,
-    /// One job per repeat; outcomes are folded in repeat order and the
-    /// assembled result is persisted under `key` like a cell-level miss.
-    PerRepeat {
-        scenario: Box<Scenario>,
-        repeats: usize,
-        key: Option<CacheKey>,
-    },
-}
-
-/// A job output of the split path.
-enum SplitOut {
-    Cell(Box<ScenarioResult>),
-    Repeat(Box<RepeatOutcome>),
-}
-
-/// The repeat-granularity executor path for narrow batches. Every repeat
-/// of every uncached, untraced cell becomes its own job, so a
-/// single-scenario sweep still saturates the worker pool. Determinism is
-/// untouched: repeat `r` always runs seed `scenario.seed + r` in a fresh
-/// `System`, outcomes are folded in repeat order through the same
-/// assembly as the cell-level path, and cache round-trips are bit-exact —
-/// so stdout is byte-identical whichever path ran. Traced cells stay
-/// whole (their trace files are a side effect of the full cell), and
-/// cache hits are resolved up front.
-fn run_scenarios_split(scenarios: Vec<Scenario>) -> Vec<ScenarioResult> {
-    let n_scenarios = scenarios.len() as u64;
-    let mut plans: Vec<SplitPlan> = Vec::with_capacity(scenarios.len());
-    let mut jobs: Vec<SweepJob<SplitOut>> = Vec::new();
-    for s in scenarios {
-        let cost = scenario_cost(&s);
-        if s.trace || trace_output_base().is_some() {
-            let seq = next_trace_seq();
-            plans.push(SplitPlan::Whole);
-            jobs.push(SweepJob::new(cost, move || {
-                let (res, traces) = run_scenario_with_traces(&s);
-                write_trace_files_with_seq(&s, &traces, seq);
-                SplitOut::Cell(Box::new(res))
-            }));
-            continue;
-        }
-        let key = scenario_cache_key(&s);
-        if cache_enabled() {
-            if let Some(v) = cache_load::<ScenarioResult>(key) {
+    let start = Instant::now();
+    let n = scenarios.len();
+    let caching = cache_enabled();
+    let trace_all = trace_output_base().is_some();
+    let mut results: Vec<Option<ScenarioResult>> = Vec::with_capacity(n);
+    let mut misses: Vec<Miss> = Vec::new();
+    for (slot, scenario) in scenarios.into_iter().enumerate() {
+        let traced = scenario.trace || trace_all;
+        // Claimed now so trace file names match a serial run.
+        let trace_seq = traced.then(next_trace_seq);
+        let key = (caching && !traced).then(|| scenario_cache_key(&scenario));
+        if let Some(key) = key {
+            if let Some(v) = cache_load(key) {
                 STAT_HITS.fetch_add(1, Ordering::Relaxed);
-                plans.push(SplitPlan::Done(Box::new(v)));
+                results.push(Some(v));
                 continue;
             }
             STAT_MISSES.fetch_add(1, Ordering::Relaxed);
         }
-        let repeats = s.repeats.max(1);
-        let per_repeat_cost = (cost / repeats as u64).max(1);
-        for r in 0..repeats {
-            let s = s.clone();
-            jobs.push(SweepJob::new(per_repeat_cost, move || {
-                SplitOut::Repeat(Box::new(run_repeat(&s, r, false)))
-            }));
-        }
-        plans.push(SplitPlan::PerRepeat {
-            scenario: Box::new(s),
-            repeats,
-            key: cache_enabled().then_some(key),
+        results.push(None);
+        misses.push(Miss {
+            slot,
+            scenario,
+            key,
+            trace_seq,
         });
     }
-    let n_jobs = jobs.len() as u64;
-    let outs = run_sweep(jobs);
-    // The executor counted one "cell" per job; re-express the cumulative
-    // stat in scenario cells so it keeps meaning the same thing on both
-    // paths (cache hits resolved at planning time count too).
-    STAT_CELLS.fetch_sub(n_jobs, Ordering::Relaxed);
-    STAT_CELLS.fetch_add(n_scenarios, Ordering::Relaxed);
-    let mut outs = outs.into_iter();
-    let cell = |outs: &mut std::vec::IntoIter<SplitOut>| match outs.next() {
-        Some(SplitOut::Cell(v)) => *v,
-        _ => unreachable!("whole-cell plan must consume a cell output"),
-    };
-    plans
-        .into_iter()
-        .map(|plan| match plan {
-            SplitPlan::Done(v) => *v,
-            SplitPlan::Whole => cell(&mut outs),
-            SplitPlan::PerRepeat {
-                scenario,
-                repeats,
-                key,
-            } => {
-                let outcomes: Vec<RepeatOutcome> = (0..repeats)
-                    .map(|_| match outs.next() {
-                        Some(SplitOut::Repeat(o)) => *o,
-                        _ => unreachable!("per-repeat plan must consume repeat outputs"),
-                    })
-                    .collect();
-                let (res, _traces) = assemble_outcomes(&scenario, outcomes);
-                if let Some(key) = key {
-                    cache_store(key, &res);
-                }
-                res
-            }
-        })
-        .collect()
-}
 
-fn scenario_job(s: Scenario) -> SweepJob<ScenarioResult> {
-    let cost = scenario_cost(&s);
-    if s.trace || trace_output_base().is_some() {
-        // Trace files are a side effect the cache cannot replay; claim the
-        // scenario's sequence number now so file names match a serial run.
-        let seq = next_trace_seq();
-        SweepJob::new(cost, move || {
-            let (res, traces) = run_scenario_with_traces(&s);
-            write_trace_files_with_seq(&s, &traces, seq);
-            res
-        })
-    } else {
-        let key = scenario_cache_key(&s);
-        SweepJob::cached(cost, key, move || run_scenario(&s))
+    // Pool units: (miss, None) runs the whole cell, (miss, Some(r)) one
+    // repeat of it.
+    let split = misses.len() < effective_jobs();
+    let mut units: Vec<(usize, Option<usize>)> = Vec::new();
+    let mut costs: Vec<u64> = Vec::new();
+    for (m, miss) in misses.iter().enumerate() {
+        let cost = scenario_cost(&miss.scenario);
+        let repeats = miss.scenario.repeats;
+        if split && miss.trace_seq.is_none() {
+            units.extend((0..repeats).map(|r| (m, Some(r))));
+            costs.extend(std::iter::repeat_n((cost / repeats as u64).max(1), repeats));
+        } else {
+            units.push((m, None));
+            costs.push(cost);
+        }
     }
+    let outs = run_pool(&costs, |u| {
+        let miss = &misses[units[u].0];
+        match units[u].1 {
+            Some(r) => vec![run_repeat(&miss.scenario, r, false)],
+            None => {
+                let mut outcomes = run_repeats(&miss.scenario, miss.trace_seq.is_some());
+                if let Some(seq) = miss.trace_seq {
+                    let traces: Vec<_> = outcomes.iter_mut().map(|o| o.trace.take()).collect();
+                    write_trace_files_with_seq(&miss.scenario, &traces, seq);
+                }
+                outcomes
+            }
+        }
+    });
+
+    // Units are in miss order and each miss's in repeat order, so every
+    // miss takes the next `repeats` outcomes.
+    let mut outs = outs.into_iter().flatten();
+    let mut stored = false;
+    for miss in misses {
+        let outcomes = outs.by_ref().take(miss.scenario.repeats).collect();
+        let (res, _) = assemble_outcomes(&miss.scenario, outcomes);
+        if let Some(key) = miss.key {
+            cache_store(key, &res);
+            stored = true;
+        }
+        results[miss.slot] = Some(res);
+    }
+    // The sweep's own working set is never evicted mid-run.
+    if stored {
+        evict_cache_to_cap();
+    }
+    record_call(n, start);
+    results
+        .into_iter()
+        .map(|r| r.expect("every scenario answered or run"))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -599,41 +514,35 @@ impl CacheKey {
     }
 }
 
-/// FNV-1a over `bytes`.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// An FNV-1a hasher that formatting writes into directly, so a key never
+/// materializes its text.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
     }
-    h
 }
 
-/// Content hash of a scenario cell: every `Scenario` field (machine,
-/// cores, policy + full balancer config, app config, competitors, cost
-/// model, repeats, seed, deadline, trace/check flags) via its `Debug`
-/// rendering, prefixed with [`SWEEP_SCHEMA_VERSION`].
+/// Content hash of a scenario cell: FNV-1a over every `Scenario` field
+/// (machine, cores, policy + full balancer config, app config,
+/// competitors, cost model, repeats, seed, deadline, trace/check flags)
+/// via its `Debug` rendering, prefixed with [`SWEEP_SCHEMA_VERSION`].
 pub fn scenario_cache_key(s: &Scenario) -> CacheKey {
-    CacheKey(fnv1a64(
-        format!("v{SWEEP_SCHEMA_VERSION}|scenario|{s:?}").as_bytes(),
-    ))
-}
-
-/// A result that can round-trip through the on-disk cache bit-for-bit.
-pub trait CacheValue: Sized {
-    /// Serializes the value as a JSON fragment. Floats must be encoded so
-    /// they round-trip exactly (this crate stores them as hex bit
-    /// patterns).
-    fn to_cache_json(&self) -> String;
-    /// Rebuilds the value from the parsed `"result"` JSON node.
-    fn from_cache_value(v: &json::Value) -> Result<Self, String>;
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    write!(h, "v{SWEEP_SCHEMA_VERSION}|scenario|{s:?}").expect("hashing cannot fail");
+    CacheKey(h.0)
 }
 
 fn cache_path(key: CacheKey) -> PathBuf {
     cache_dir().join(format!("{}.json", key.hex()))
 }
 
-fn cache_load<T: CacheValue>(key: CacheKey) -> Option<T> {
+fn cache_load(key: CacheKey) -> Option<ScenarioResult> {
     let text = std::fs::read_to_string(cache_path(key)).ok()?;
     let root = json::parse(&text).ok()?;
     let obj = root.as_obj()?;
@@ -644,12 +553,12 @@ fn cache_load<T: CacheValue>(key: CacheKey) -> Option<T> {
     if json::get(obj, "key")?.as_str()? != key.hex() {
         return None;
     }
-    T::from_cache_value(json::get(obj, "result")?).ok()
+    ScenarioResult::from_cache_value(json::get(obj, "result")?).ok()
 }
 
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn cache_store<T: CacheValue>(key: CacheKey, value: &T) {
+fn cache_store(key: CacheKey, value: &ScenarioResult) {
     let dir = cache_dir();
     if std::fs::create_dir_all(&dir).is_err() {
         return; // cache is best-effort; never fail the sweep over it
@@ -738,7 +647,9 @@ fn server_stats_from_json(v: &json::Value) -> Result<ServerStats, String> {
     Ok(out)
 }
 
-impl CacheValue for ScenarioResult {
+/// The `"result"` node of a cache document. Floats are stored as hex bit
+/// patterns so they round-trip exactly.
+impl ScenarioResult {
     fn to_cache_json(&self) -> String {
         let server = match &self.server {
             Some(s) => server_stats_to_json(s),
@@ -780,7 +691,8 @@ pub(crate) mod tests {
     use std::sync::MutexGuard;
 
     /// Serializes tests that mutate the module's global knobs (jobs
-    /// budget, cache switch/dir, cumulative stats).
+    /// budget, cache switch/dir, cumulative stats) or run sweeps, whose
+    /// cells would otherwise land in another test's cache and counters.
     pub(crate) fn global_guard() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -959,7 +871,7 @@ pub(crate) mod tests {
         assert_eq!(loaded.completion.values, vec![1.5]);
 
         // A different key never matches this file.
-        assert!(cache_load::<ScenarioResult>(CacheKey(key.0 ^ 1)).is_none());
+        assert!(cache_load(CacheKey(key.0 ^ 1)).is_none());
 
         // A stale schema version invalidates the entry.
         let path = cache_path(key);
@@ -968,7 +880,7 @@ pub(crate) mod tests {
             "\"schema\": 999999",
         );
         std::fs::write(&path, stale).unwrap();
-        assert!(cache_load::<ScenarioResult>(key).is_none());
+        assert!(cache_load(key).is_none());
 
         set_cache_enabled(false);
         set_cache_dir(None);
@@ -1037,7 +949,7 @@ pub(crate) mod tests {
         // The assembled cell (not individual repeats) must now be cached.
         let key = scenario_cache_key(&mk()[0]);
         assert!(
-            cache_load::<ScenarioResult>(key).is_some(),
+            cache_load(key).is_some(),
             "split miss must persist the assembled cell"
         );
         let before_hits = sweep_stats().cache_hits;
@@ -1049,6 +961,182 @@ pub(crate) mod tests {
         set_cache_enabled(false);
         set_cache_dir(None);
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The `.json` entries of a cache directory, sorted.
+    fn json_entries(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.ends_with(".json"))
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// The cumulative statistics gathered since `before`.
+    fn stats_since(before: SweepStats) -> SweepStats {
+        let after = sweep_stats();
+        SweepStats {
+            cells: after.cells - before.cells,
+            cache_hits: after.cache_hits - before.cache_hits,
+            cache_misses: after.cache_misses - before.cache_misses,
+            evictions: after.evictions - before.evictions,
+            wall_secs: after.wall_secs - before.wall_secs,
+        }
+    }
+
+    #[test]
+    fn narrow_sweep_stores_are_trimmed_to_the_cap() {
+        use crate::scenario::{Machine, Policy, Scenario};
+        use speedbal_apps::WaitMode;
+        use speedbal_workloads::ep;
+        let _g = global_guard();
+        let dir = temp_cache_dir("narrow-cap");
+        set_cache_dir(Some(dir.clone()));
+        set_cache_enabled(true);
+        // Smaller than any cache document.
+        set_cache_cap_bytes(Some(16));
+        // 1 scenario < 8 workers: its repeats run as separate jobs.
+        set_jobs(Some(8));
+        let before = sweep_stats();
+        run_scenarios(vec![Scenario::new(
+            Machine::Uniform(2),
+            0,
+            Policy::Load,
+            ep().spmd(3, WaitMode::Yield, 0.05),
+        )
+        .repeats(3)]);
+        let st = stats_since(before);
+        set_jobs(None);
+        set_cache_cap_bytes(None);
+        set_cache_enabled(false);
+        set_cache_dir(None);
+        assert_eq!((st.cells, st.cache_misses), (1, 1));
+        assert_eq!(
+            st.evictions, 1,
+            "the store must be trimmed by the sweep that made it"
+        );
+        assert!(json_entries(&dir).is_empty());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn warm_sweep_over_a_full_cache_hits_every_cell_and_evicts_nothing() {
+        use crate::scenario::{Machine, Policy, Scenario};
+        use speedbal_apps::WaitMode;
+        use speedbal_workloads::ep;
+        let _g = global_guard();
+        let dir = temp_cache_dir("warm-full");
+        set_cache_dir(Some(dir.clone()));
+        set_cache_enabled(true);
+        set_jobs(Some(2));
+        let mk = || {
+            [Policy::Speed, Policy::Load, Policy::Pinned]
+                .into_iter()
+                .map(|p| {
+                    Scenario::new(
+                        Machine::Uniform(2),
+                        0,
+                        p,
+                        ep().spmd(3, WaitMode::Yield, 0.05),
+                    )
+                    .repeats(2)
+                })
+                .collect::<Vec<_>>()
+        };
+        let cold = run_scenarios(mk());
+        let files = json_entries(&dir);
+        assert_eq!(files.len(), 3);
+        // The directory is now far above its cap.
+        set_cache_cap_bytes(Some(16));
+        let before = sweep_stats();
+        let warm = run_scenarios(mk());
+        let st = stats_since(before);
+        set_jobs(None);
+        set_cache_cap_bytes(None);
+        set_cache_enabled(false);
+        set_cache_dir(None);
+        assert_eq!(st.cells, 3);
+        assert_eq!(st.cache_hits, st.cells);
+        assert_eq!((st.cache_misses, st.evictions), (0, 0));
+        assert_eq!(
+            json_entries(&dir),
+            files,
+            "a sweep that stored nothing evicts nothing"
+        );
+        for (a, b) in cold.iter().zip(&warm) {
+            assert_eq!(a.completion.values, b.completion.values);
+            assert_eq!(a.migrations.values, b.migrations.values);
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// FNV-1a over `bytes`: the key formula of builds that formatted the
+    /// key material into a `String` first.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn streamed_cache_key_equals_the_formatted_key() {
+        use crate::scenario::{Machine, Policy, Scenario};
+        use speedbal_apps::WaitMode;
+        use speedbal_core::SpeedBalancerConfig;
+        use speedbal_workloads::ep;
+        let app = ep().spmd(3, WaitMode::Yield, 0.05);
+        let machines = [
+            Machine::Tigerton,
+            Machine::Barcelona,
+            Machine::Nehalem,
+            Machine::Uniform(4),
+            Machine::Asymmetric {
+                fast: 2,
+                slow: 2,
+                factor: 0.5,
+            },
+            Machine::BigLittle4p8e,
+            Machine::Turbo2p,
+            Machine::Throttle,
+        ];
+        let policies = [
+            Policy::Pinned,
+            Policy::Load,
+            Policy::Speed,
+            Policy::SpeedWith(SpeedBalancerConfig::default()),
+            Policy::Dwrr,
+            Policy::Ule,
+            Policy::UleTuned,
+        ];
+        let mut cells: Vec<Scenario> = machines
+            .iter()
+            .flat_map(|m| {
+                policies
+                    .iter()
+                    .map(|p| Scenario::new(m.clone(), 0, p.clone(), app.clone()))
+            })
+            .collect();
+        let web = speedbal_workloads::web(6, 4, 0.7, speedbal_sim::SimDuration::from_millis(150));
+        cells.push(Scenario::server_only(
+            Machine::Uniform(4),
+            0,
+            Policy::Speed,
+            web,
+        ));
+        cells.push(
+            Scenario::new(Machine::Uniform(4), 0, Policy::Load, app.clone())
+                .competitors(vec![Competitor::CpuHog { core: 0 }]),
+        );
+        cells.push(Scenario::new(Machine::Uniform(2), 0, Policy::Speed, app).traced(true));
+        for s in &cells {
+            let formatted = fnv1a64(format!("v{SWEEP_SCHEMA_VERSION}|scenario|{s:?}").as_bytes());
+            assert_eq!(scenario_cache_key(s), CacheKey(formatted), "{}", s.label());
+        }
     }
 
     #[test]
