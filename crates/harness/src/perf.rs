@@ -988,8 +988,8 @@ pub fn check_against(
     ))
 }
 
-/// Minimal recursive-descent JSON reader for the bench document and the
-/// sweep result cache (the workspace vendors no JSON crate).
+/// Minimal recursive-descent JSON reader for the bench document (the
+/// workspace vendors no JSON crate); it reads nothing else.
 pub mod json {
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]

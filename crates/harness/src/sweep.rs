@@ -20,10 +20,14 @@
 //!
 //! On top sits a **content-addressed result cache**: a cell whose inputs
 //! hash to a key already present under `target/sweep-cache/` is not run;
-//! its result is deserialized — bit-for-bit, floats round-trip as raw
-//! bit patterns — from disk. Keys hash the full `Scenario` (every field,
-//! via its `Debug` form) plus [`SWEEP_SCHEMA_VERSION`]; bump the version
-//! whenever simulator semantics change so stale cells can never resurface.
+//! its result is decoded from disk in one pass, bit for bit (floats are
+//! stored as raw bit patterns). The decoder accepts exactly the document
+//! the writer produces for that key: any other file (truncated, altered,
+//! another key or schema) is a miss, so the cell is re-simulated and its
+//! file overwritten, never a panic or a wrong value. Keys hash the full
+//! `Scenario` (every field, via its `Debug` form) plus
+//! [`SWEEP_SCHEMA_VERSION`]; bump the version whenever simulator
+//! semantics change so stale cells can never resurface.
 //! The cache is **off by default in library use** (tests must re-run the
 //! simulator, not replay yesterday's build) and enabled explicitly by
 //! `speedbal-cli` (bypass with `--no-cache`).
@@ -40,7 +44,6 @@
 //! the repeat pool runs single-threaded, so nested parallelism cannot
 //! oversubscribe the machine.
 
-use crate::perf::json;
 use crate::scenario::{
     assemble_outcomes, next_trace_seq, run_repeat, run_repeats, trace_output_base,
     write_trace_files_with_seq, Competitor, Scenario, ScenarioResult, ServerStats,
@@ -543,17 +546,7 @@ fn cache_path(key: CacheKey) -> PathBuf {
 }
 
 fn cache_load(key: CacheKey) -> Option<ScenarioResult> {
-    let text = std::fs::read_to_string(cache_path(key)).ok()?;
-    let root = json::parse(&text).ok()?;
-    let obj = root.as_obj()?;
-    let schema = json::get(obj, "schema")?.as_num()?;
-    if schema != SWEEP_SCHEMA_VERSION as f64 {
-        return None;
-    }
-    if json::get(obj, "key")?.as_str()? != key.hex() {
-        return None;
-    }
-    ScenarioResult::from_cache_value(json::get(obj, "result")?).ok()
+    decode_cache_doc(&std::fs::read(cache_path(key)).ok()?, key)
 }
 
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -563,11 +556,7 @@ fn cache_store(key: CacheKey, value: &ScenarioResult) {
     if std::fs::create_dir_all(&dir).is_err() {
         return; // cache is best-effort; never fail the sweep over it
     }
-    let doc = format!(
-        "{{\n  \"schema\": {SWEEP_SCHEMA_VERSION},\n  \"key\": \"{}\",\n  \"result\": {}\n}}\n",
-        key.hex(),
-        value.to_cache_json()
-    );
+    let doc = cache_doc(key, value);
     // Unique temp name + rename: concurrent workers (or processes) racing
     // on the same key each land a complete document, never a torn one.
     let tmp = dir.join(format!(
@@ -581,29 +570,22 @@ fn cache_store(key: CacheKey, value: &ScenarioResult) {
     }
 }
 
+/// The cache document for `key`: the schema version, the key and the
+/// `"result"` node.
+fn cache_doc(key: CacheKey, value: &ScenarioResult) -> String {
+    format!(
+        "{{\n  \"schema\": {SWEEP_SCHEMA_VERSION},\n  \"key\": \"{}\",\n  \"result\": {}\n}}\n",
+        key.hex(),
+        value.to_cache_json()
+    )
+}
+
 fn f64_bits_array(values: &[f64]) -> String {
     let items: Vec<String> = values
         .iter()
         .map(|v| format!("\"{:016x}\"", v.to_bits()))
         .collect();
     format!("[{}]", items.join(","))
-}
-
-fn parse_f64_bits_array(v: &json::Value, field: &str) -> Result<Vec<f64>, String> {
-    let json::Value::Arr(items) = v else {
-        return Err(format!("\"{field}\" is not an array"));
-    };
-    items
-        .iter()
-        .map(|item| {
-            let hex = item
-                .as_str()
-                .ok_or_else(|| format!("\"{field}\" entry is not a string"))?;
-            u64::from_str_radix(hex, 16)
-                .map(f64::from_bits)
-                .map_err(|e| format!("\"{field}\" entry {hex:?}: {e}"))
-        })
-        .collect()
 }
 
 type ServerFieldGet = fn(&ServerStats) -> &RepeatStats;
@@ -637,16 +619,6 @@ fn server_stats_to_json(s: &ServerStats) -> String {
     format!("{{{}}}", fields.join(","))
 }
 
-fn server_stats_from_json(v: &json::Value) -> Result<ServerStats, String> {
-    let obj = v.as_obj().ok_or("cached \"server\" is not an object")?;
-    let mut out = ServerStats::default();
-    for (key, _, get_mut) in &SERVER_FIELDS {
-        let node = json::get(obj, key).ok_or_else(|| format!("missing \"{key}\""))?;
-        get_mut(&mut out).values = parse_f64_bits_array(node, key)?;
-    }
-    Ok(out)
-}
-
 /// The `"result"` node of a cache document. Floats are stored as hex bit
 /// patterns so they round-trip exactly.
 impl ScenarioResult {
@@ -662,24 +634,116 @@ impl ScenarioResult {
             self.timeouts
         )
     }
+}
 
-    fn from_cache_value(v: &json::Value) -> Result<Self, String> {
-        let obj = v.as_obj().ok_or("cached result is not an object")?;
-        let field = |k: &str| json::get(obj, k).ok_or_else(|| format!("missing \"{k}\""));
-        let server = match field("server")? {
-            json::Value::Null => None,
-            node => Some(server_stats_from_json(node)?),
+/// Decodes the cache document for `key` in one pass, parsing each bit
+/// pattern straight into an `f64`. It accepts exactly what `cache_doc`
+/// writes for `key` under this [`SWEEP_SCHEMA_VERSION`]: anything else (a
+/// truncated or altered file, another key or schema, a trailing byte) is
+/// `None`, a miss.
+fn decode_cache_doc(doc: &[u8], key: CacheKey) -> Option<ScenarioResult> {
+    let mut r = DocReader(doc);
+    r.lit("{\n  \"schema\": ")?;
+    if r.decimal()? != SWEEP_SCHEMA_VERSION {
+        return None;
+    }
+    r.lit(",\n  \"key\": \"")?;
+    if r.hex_u64()? != key.0 {
+        return None;
+    }
+    r.lit("\",\n  \"result\": ")?;
+    let result = r.result()?;
+    r.lit("\n}\n")?;
+    r.0.is_empty().then_some(result)
+}
+
+/// The unread bytes of a cache document. Each reader mirrors one writer
+/// above and consumes exactly its output, or returns `None`.
+struct DocReader<'a>(&'a [u8]);
+
+impl DocReader<'_> {
+    /// Consumes `text`, which must come next.
+    fn lit(&mut self, text: &str) -> Option<()> {
+        self.0 = self.0.strip_prefix(text.as_bytes())?;
+        Some(())
+    }
+
+    /// A `{:016x}` value: exactly 16 lowercase hex digits.
+    fn hex_u64(&mut self) -> Option<u64> {
+        let (digits, rest) = self.0.split_first_chunk::<16>()?;
+        let mut v = 0;
+        for &d in digits {
+            let nibble = match d {
+                b'0'..=b'9' => d - b'0',
+                b'a'..=b'f' => d - b'a' + 10,
+                _ => return None,
+            };
+            v = v << 4 | u64::from(nibble);
+        }
+        self.0 = rest;
+        Some(v)
+    }
+
+    /// A `{}`-formatted integer: decimal digits, no leading zero.
+    fn decimal(&mut self) -> Option<u64> {
+        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (digits, rest) = self.0.split_at(len);
+        if len > 1 && digits[0] == b'0' {
+            return None;
+        }
+        let v = std::str::from_utf8(digits).ok()?.parse().ok()?;
+        self.0 = rest;
+        Some(v)
+    }
+
+    /// An `f64_bits_array`.
+    fn bits_array(&mut self) -> Option<Vec<f64>> {
+        self.lit("[")?;
+        let mut values = Vec::new();
+        while self.lit("]").is_none() {
+            if !values.is_empty() {
+                self.lit(",")?;
+            }
+            self.lit("\"")?;
+            values.push(f64::from_bits(self.hex_u64()?));
+            self.lit("\"")?;
+        }
+        Some(values)
+    }
+
+    /// A `server_stats_to_json` object.
+    fn server_stats(&mut self) -> Option<ServerStats> {
+        let mut out = ServerStats::default();
+        let mut open = "{\"";
+        for (key, _, get_mut) in &SERVER_FIELDS {
+            self.lit(open)?;
+            self.lit(key)?;
+            self.lit("\":")?;
+            get_mut(&mut out).values = self.bits_array()?;
+            open = ",\"";
+        }
+        self.lit("}")?;
+        Some(out)
+    }
+
+    /// A `to_cache_json` object.
+    fn result(&mut self) -> Option<ScenarioResult> {
+        self.lit("{\"completion_bits\":")?;
+        let completion = self.bits_array()?;
+        self.lit(",\"migration_bits\":")?;
+        let migrations = self.bits_array()?;
+        self.lit(",\"timeouts\":")?;
+        let timeouts = usize::try_from(self.decimal()?).ok()?;
+        self.lit(",\"server\":")?;
+        let server = match self.lit("null") {
+            Some(()) => None,
+            None => Some(self.server_stats()?),
         };
-        Ok(ScenarioResult {
-            completion: RepeatStats {
-                values: parse_f64_bits_array(field("completion_bits")?, "completion_bits")?,
-            },
-            migrations: RepeatStats {
-                values: parse_f64_bits_array(field("migration_bits")?, "migration_bits")?,
-            },
-            timeouts: field("timeouts")?
-                .as_num()
-                .ok_or("\"timeouts\" is not a number")? as usize,
+        self.lit("}")?;
+        Some(ScenarioResult {
+            completion: RepeatStats { values: completion },
+            migrations: RepeatStats { values: migrations },
+            timeouts,
             server,
         })
     }
@@ -758,6 +822,13 @@ pub(crate) mod tests {
         assert!(effective_jobs() >= 1);
     }
 
+    /// Decodes a lone `"result"` node, as `to_cache_json` writes it.
+    fn decode_result(text: &str) -> Option<ScenarioResult> {
+        let mut r = DocReader(text.as_bytes());
+        let res = r.result()?;
+        r.0.is_empty().then_some(res)
+    }
+
     #[test]
     fn scenario_result_cache_json_roundtrips_bit_for_bit() {
         // Values chosen to break decimal round-tripping if bits weren't
@@ -773,8 +844,7 @@ pub(crate) mod tests {
             server: None,
         };
         let text = res.to_cache_json();
-        let parsed = json::parse(&text).unwrap();
-        let back = ScenarioResult::from_cache_value(&parsed).unwrap();
+        let back = decode_result(&text).unwrap();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back.completion.values), bits(&res.completion.values));
         assert_eq!(bits(&back.migrations.values), bits(&res.migrations.values));
@@ -798,8 +868,7 @@ pub(crate) mod tests {
             timeouts: 0,
             server: Some(server.clone()),
         };
-        let parsed = json::parse(&res.to_cache_json()).unwrap();
-        let back = ScenarioResult::from_cache_value(&parsed).unwrap();
+        let back = decode_result(&res.to_cache_json()).unwrap();
         let got = back.server.expect("server block survives the roundtrip");
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (key, get, _) in &SERVER_FIELDS {
@@ -884,6 +953,262 @@ pub(crate) mod tests {
 
         set_cache_enabled(false);
         set_cache_dir(None);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    const SPMD_KEY: CacheKey = CacheKey(0x0123_4567_89ab_cdef);
+
+    /// An SPMD cell's document exactly as the schema-3 writer stores it.
+    /// Its completion bits are −0.0, a NaN with a payload, the least
+    /// subnormal, +∞, −∞ and 0.1 + 0.2.
+    const SPMD_DOC: &str = concat!(
+        "{\n  \"schema\": 3,\n  \"key\": \"0123456789abcdef\",\n  \"result\": {",
+        "\"completion_bits\":[\"8000000000000000\",\"7ff80000deadbeef\",\"0000000000000001\",",
+        "\"7ff0000000000000\",\"fff0000000000000\",\"3fd3333333333334\"],",
+        "\"migration_bits\":[\"0000000000000000\",\"3ff0000000000000\",\"4000000000000000\",",
+        "\"4008000000000000\",\"7e37e43c8800759c\",\"4014000000000000\"],",
+        "\"timeouts\":12,\"server\":null}\n}\n",
+    );
+
+    const SERVER_KEY: CacheKey = CacheKey(0xfedc_ba98_7654_3210);
+
+    /// A server cell's document exactly as the schema-3 writer stores it;
+    /// its values are those of [`pinned_server_stats`].
+    const SERVER_DOC: &str = concat!(
+        "{\n  \"schema\": 3,\n  \"key\": \"fedcba9876543210\",\n  \"result\": {",
+        "\"completion_bits\":[\"3ff8000000000000\",\"4002000000000000\"],",
+        "\"migration_bits\":[\"4010000000000000\",\"401c000000000000\"],",
+        "\"timeouts\":0,\"server\":{",
+        "\"p50_ms_bits\":[\"3fd3333333333334\",\"3fd5555555555555\"],",
+        "\"p99_ms_bits\":[\"4004000000000000\",\"400e000000000000\"],",
+        "\"p999_ms_bits\":[\"4022000000000000\",\"0010000000000000\"],",
+        "\"queue_mean_ms_bits\":[\"3fd0000000000000\",\"3fe0000000000000\"],",
+        "\"service_mean_ms_bits\":[\"3ff0000000000000\",\"3ff0000000000000\"],",
+        "\"completed_bits\":[\"4059000000000000\",\"4059400000000000\"],",
+        "\"dropped_bits\":[\"0000000000000000\",\"4008000000000000\"]}}\n}\n",
+    );
+
+    fn pinned_server_stats() -> ServerStats {
+        let mut server = ServerStats::default();
+        server.p50_ms.values = vec![0.1 + 0.2, 1.0 / 3.0];
+        server.p99_ms.values = vec![2.5, 3.75];
+        server.p999_ms.values = vec![9.0, f64::MIN_POSITIVE];
+        server.queue_mean_ms.values = vec![0.25, 0.5];
+        server.service_mean_ms.values = vec![1.0, 1.0];
+        server.completed.values = vec![100.0, 101.0];
+        server.dropped.values = vec![0.0, 3.0];
+        server
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn pinned_documents_decode_bit_for_bit_and_reencode_byte_for_byte() {
+        let _g = global_guard();
+        let spmd = decode_cache_doc(SPMD_DOC.as_bytes(), SPMD_KEY).expect("SPMD document decodes");
+        assert_eq!(
+            bits(&spmd.completion.values),
+            [
+                0x8000_0000_0000_0000,
+                0x7ff8_0000_dead_beef,
+                0x0000_0000_0000_0001,
+                f64::INFINITY.to_bits(),
+                f64::NEG_INFINITY.to_bits(),
+                (0.1f64 + 0.2).to_bits(),
+            ]
+        );
+        assert_eq!(
+            bits(&spmd.migrations.values),
+            bits(&[0.0, 1.0, 2.0, 3.0, 1e300, 5.0])
+        );
+        assert_eq!(spmd.timeouts, 12);
+        assert!(spmd.server.is_none());
+
+        let served =
+            decode_cache_doc(SERVER_DOC.as_bytes(), SERVER_KEY).expect("server document decodes");
+        assert_eq!(bits(&served.completion.values), bits(&[1.5, 2.25]));
+        assert_eq!(bits(&served.migrations.values), bits(&[4.0, 7.0]));
+        assert_eq!(served.timeouts, 0);
+        let (got, want) = (served.server.as_ref().unwrap(), pinned_server_stats());
+        for (key, get, _) in &SERVER_FIELDS {
+            assert_eq!(bits(&get(got).values), bits(&get(&want).values), "{key}");
+        }
+
+        // The writer stores each decoded result as the same bytes.
+        let dir = temp_cache_dir("pinned");
+        set_cache_dir(Some(dir.clone()));
+        for (key, doc, res) in [
+            (SPMD_KEY, SPMD_DOC, &spmd),
+            (SERVER_KEY, SERVER_DOC, &served),
+        ] {
+            cache_store(key, res);
+            assert_eq!(std::fs::read_to_string(cache_path(key)).unwrap(), doc);
+        }
+        set_cache_dir(None);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Decodes `doc`, checking that a hit is exactly the document the writer
+    /// produces for the decoded result: anything looser could return a
+    /// value the file does not hold.
+    fn decode_checked(doc: &[u8], key: CacheKey) -> Option<ScenarioResult> {
+        let res = decode_cache_doc(doc, key)?;
+        assert_eq!(cache_doc(key, &res).as_bytes(), doc, "a hit re-encodes");
+        Some(res)
+    }
+
+    #[test]
+    fn every_truncation_of_a_document_is_a_miss() {
+        for (key, doc) in [(SPMD_KEY, SPMD_DOC), (SERVER_KEY, SERVER_DOC)] {
+            let doc = doc.as_bytes();
+            assert!(decode_checked(doc, key).is_some());
+            for len in 0..doc.len() {
+                assert!(decode_cache_doc(&doc[..len], key).is_none(), "{len} bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_and_random_bytes_never_panic_or_misdecode() {
+        let mut rng = speedbal_sim::SimRng::new(0x5eed);
+        let mut byte = || rng.next_below(256) as u8;
+        let mut altered_hits = 0;
+        for (key, doc) in [(SPMD_KEY, SPMD_DOC), (SERVER_KEY, SERVER_DOC)] {
+            let doc = doc.as_bytes();
+            // At every position: eight seeded byte replacements, the
+            // byte deleted, and a seeded byte inserted before it.
+            for i in 0..doc.len() {
+                let mut mutants: Vec<Vec<u8>> = (0..8)
+                    .map(|_| {
+                        let mut m = doc.to_vec();
+                        m[i] = byte();
+                        m
+                    })
+                    .collect();
+                mutants.push([&doc[..i], &doc[i + 1..]].concat());
+                mutants.push([&doc[..i], &[byte()], &doc[i..]].concat());
+                for m in mutants {
+                    if decode_checked(&m, key).is_some() && m != doc {
+                        altered_hits += 1;
+                    }
+                }
+            }
+            // A valid prefix with a random tail, and random bytes alone.
+            for round in 0..2_000 {
+                let mut m = doc[..round % (doc.len() + 1)].to_vec();
+                let tail = usize::from(byte() % 64);
+                m.extend((0..tail).map(|_| byte()));
+                decode_checked(&m, key);
+                let junk: Vec<u8> = (0..usize::from(byte()) * 2).map(|_| byte()).collect();
+                decode_checked(&junk, key);
+            }
+        }
+        // A hex or decimal digit swapped for another is another valid
+        // document, so the re-encoding check above did run.
+        assert!(altered_hits > 0);
+    }
+
+    #[test]
+    fn malformed_fields_are_misses() {
+        assert!(decode_cache_doc(SPMD_DOC.as_bytes(), CacheKey(SPMD_KEY.0 ^ 1)).is_none());
+        let spmd_edits = [
+            // Another schema, or the same number written another way.
+            ("\"schema\": 3,", "\"schema\": 4,"),
+            ("\"schema\": 3,", "\"schema\": 03,"),
+            ("\"schema\": 3,", "\"schema\": 3.0,"),
+            // Another key inside the file.
+            ("0123456789abcdef", "0123456789abcdee"),
+            // A non-hex digit, upper case, a sign, a short pattern.
+            ("7ff80000deadbeef", "7ff80000deadbeeg"),
+            ("7ff80000deadbeef", "7FF80000DEADBEEF"),
+            ("7ff80000deadbeef", "+ff80000deadbeef"),
+            ("7ff80000deadbeef", "7ff80000deadbee"),
+            // Negative, fractional, exponent, zero-padded or overflowing
+            // timeouts.
+            ("\"timeouts\":12", "\"timeouts\":-12"),
+            ("\"timeouts\":12", "\"timeouts\":12.5"),
+            ("\"timeouts\":12", "\"timeouts\":1.2e1"),
+            ("\"timeouts\":12", "\"timeouts\":012"),
+            ("\"timeouts\":12", "\"timeouts\":184467440737095516160"),
+            // Whitespace the writer never emits, a missing field.
+            ("\"timeouts\":12", "\"timeouts\": 12"),
+            (",\"server\":null", ""),
+        ];
+        let server_edits = [
+            ("\"p99_ms_bits\"", "\"p98_ms_bits\""),
+            ("\"p99_ms_bits\"", "\"\""),
+            (
+                ",\"dropped_bits\":[\"0000000000000000\",\"4008000000000000\"]",
+                "",
+            ),
+            ("\"server\":{", "\"server\":{}"),
+        ];
+        let cases = spmd_edits
+            .iter()
+            .map(|e| (SPMD_KEY, SPMD_DOC, e))
+            .chain(server_edits.iter().map(|e| (SERVER_KEY, SERVER_DOC, e)));
+        for (key, doc, (from, to)) in cases {
+            let bad = doc.replacen(from, to, 1);
+            assert_ne!(bad, doc);
+            assert!(
+                decode_cache_doc(bad.as_bytes(), key).is_none(),
+                "{from} -> {to}"
+            );
+        }
+        for tail in [" ", "\n", "x", "}", "\0"] {
+            let long = format!("{SPMD_DOC}{tail}");
+            assert!(
+                decode_cache_doc(long.as_bytes(), SPMD_KEY).is_none(),
+                "{tail:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_corrupted_cache_file_is_re_simulated_and_rewritten() {
+        use crate::scenario::{Machine, Policy, Scenario};
+        use speedbal_apps::WaitMode;
+        use speedbal_workloads::ep;
+        let _g = global_guard();
+        let dir = temp_cache_dir("corrupt");
+        set_cache_dir(Some(dir.clone()));
+        set_cache_enabled(true);
+        set_jobs(Some(1));
+        let mk = || {
+            vec![Scenario::new(
+                Machine::Uniform(2),
+                0,
+                Policy::Speed,
+                ep().spmd(3, WaitMode::Yield, 0.05),
+            )
+            .repeats(2)]
+        };
+        let cold = run_scenarios(mk());
+        let path = cache_path(scenario_cache_key(&mk()[0]));
+        let stored = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &stored[..stored.len() / 2]).unwrap();
+        let before = sweep_stats();
+        let again = run_scenarios(mk());
+        let st = stats_since(before);
+        set_jobs(None);
+        set_cache_enabled(false);
+        set_cache_dir(None);
+        assert_eq!((st.cache_hits, st.cache_misses), (0, 1));
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            stored,
+            "the miss rewrites the file"
+        );
+        assert_eq!(
+            bits(&again[0].completion.values),
+            bits(&cold[0].completion.values)
+        );
+        assert_eq!(
+            bits(&again[0].migrations.values),
+            bits(&cold[0].migrations.values)
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 
