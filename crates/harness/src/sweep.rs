@@ -20,14 +20,18 @@
 //!
 //! On top sits a **content-addressed result cache**: a cell whose inputs
 //! hash to a key already present under `target/sweep-cache/` is not run;
-//! its result is decoded from disk in one pass, bit for bit (floats are
-//! stored as raw bit patterns). The decoder accepts exactly the document
-//! the writer produces for that key: any other file (truncated, altered,
-//! another key or schema) is a miss, so the cell is re-simulated and its
-//! file overwritten, never a panic or a wrong value. Keys hash the full
-//! `Scenario` (every field, via its `Debug` form) plus
-//! [`SWEEP_SCHEMA_VERSION`]; bump the version whenever simulator
-//! semantics change so stale cells can never resurface.
+//! its file is read with one `read` call and decoded in one pass, bit for
+//! bit (floats are stored as raw bit patterns). The decoder accepts
+//! exactly the document the writer produces for that key: any other file
+//! (truncated, altered, another key or schema) is a miss, so the cell is
+//! re-simulated and its file overwritten, never a panic or a wrong value.
+//! Keys hash an explicit binary encoding of every `Scenario` field, one
+//! 64-bit word per value, from a state seeded with
+//! [`SWEEP_SCHEMA_VERSION`]; the encoding destructures every config type
+//! exhaustively, so a new field does not compile until the key covers it,
+//! and it never reads `Debug` text. Bump the version whenever simulator
+//! semantics change so stale cells can never resurface; changing the
+//! encoding renames every file, so an older cache misses once.
 //! The cache is **off by default in library use** (tests must re-run the
 //! simulator, not replay yesterday's build) and enabled explicitly by
 //! `speedbal-cli` (bypass with `--no-cache`).
@@ -46,11 +50,15 @@
 
 use crate::scenario::{
     assemble_outcomes, next_trace_seq, run_repeat, run_repeats, trace_output_base,
-    write_trace_files_with_seq, Competitor, Scenario, ScenarioResult, ServerStats,
+    write_trace_files_with_seq, Competitor, Machine, Policy, Scenario, ScenarioResult, ServerStats,
 };
+use speedbal_apps::{ArrivalProcess, ServerConfig, ServiceDist, SpmdConfig, WaitMode};
+use speedbal_core::{SpeedBalancerConfig, SpeedMetric};
+use speedbal_machine::CostModel;
 use speedbal_metrics::RepeatStats;
+use speedbal_sim::{OrderingPolicy, SimDuration};
 use std::cell::Cell;
-use std::fmt::Write as _;
+use std::io::Read as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -517,36 +525,250 @@ impl CacheKey {
     }
 }
 
-/// An FNV-1a hasher that formatting writes into directly, so a key never
-/// materializes its text.
-struct Fnv1a(u64);
+/// Content hash of a scenario cell: every `Scenario` field (machine,
+/// cores, policy + full balancer config, app config, server, competitors,
+/// cost model, repeats, seed, deadline, trace/check flags, ordering) as
+/// 64-bit words (see `KeyWords`), folded into a state that starts from
+/// [`SWEEP_SCHEMA_VERSION`].
+pub fn scenario_cache_key(s: &Scenario) -> CacheKey {
+    let mut h = KeyHasher(SWEEP_SCHEMA_VERSION);
+    s.key_words(&mut h);
+    CacheKey(h.0)
+}
 
-impl std::fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
+/// The key state: each word is folded in with one 64×64→128 multiply of
+/// the state and the word, each first XORed with a wyhash secret, keeping
+/// `hi ^ lo` as wyhash's `mum` does. The word is a factor of its own, not
+/// XORed into the state: from the schema-3 state, `Uniform(4)` (tags 3
+/// then 4) and `Throttle` (tag 7) would otherwise fold to one key.
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    #[inline]
+    fn word(&mut self, w: u64) {
+        let m = u128::from(self.0 ^ 0xa076_1d64_78bd_642f) * u128::from(w ^ 0xe703_7ed1_a0b4_28db);
+        self.0 = (m >> 64) as u64 ^ m as u64;
     }
 }
 
-/// Content hash of a scenario cell: FNV-1a over every `Scenario` field
-/// (machine, cores, policy + full balancer config, app config,
-/// competitors, cost model, repeats, seed, deadline, trace/check flags)
-/// via its `Debug` rendering, prefixed with [`SWEEP_SCHEMA_VERSION`].
-pub fn scenario_cache_key(s: &Scenario) -> CacheKey {
-    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
-    write!(h, "v{SWEEP_SCHEMA_VERSION}|scenario|{s:?}").expect("hashing cannot fail");
-    CacheKey(h.0)
+/// A value's cache-key encoding, one or more 64-bit words: an integer
+/// widened, a `SimDuration` its nanoseconds, an `f64` its bits, a `bool`
+/// 0 or 1, an enum its variant tag then its fields, a `Vec` its length
+/// then its items, an `Option` a tag then its value. Each config type's
+/// impl destructures it with no `..` and matches with no wildcard arm,
+/// so a new field or variant stops the build until the key covers it;
+/// a field left out would serve stale results. The key never reads
+/// `Debug`, so a cosmetic `Debug` change keeps every key.
+trait KeyWords {
+    fn key_words(&self, h: &mut KeyHasher);
+}
+
+/// Feeds each value's key words in turn.
+macro_rules! words {
+    ($h:expr, $($v:expr),+ $(,)?) => {{
+        $(KeyWords::key_words($v, $h);)+
+    }};
+}
+
+/// Implements [`KeyWords`] for each struct: its fields' words in the
+/// order named. The pattern names every field, with no `..`.
+macro_rules! struct_words {
+    ($($t:ident { $($f:ident),+ $(,)? })+) => {$(
+        impl KeyWords for $t {
+            fn key_words(&self, h: &mut KeyHasher) {
+                let $t { $($f),+ } = self;
+                words!(h, $($f),+);
+            }
+        }
+    )+};
+}
+
+/// Implements [`KeyWords`] for scalars, one word each.
+macro_rules! scalar_words {
+    ($($t:ty => $word:expr),+ $(,)?) => {$(
+        impl KeyWords for $t {
+            fn key_words(&self, h: &mut KeyHasher) {
+                h.word($word(*self));
+            }
+        }
+    )+};
+}
+
+scalar_words! {
+    u64 => u64::from,
+    u32 => u64::from,
+    usize => |v| v as u64,
+    f64 => f64::to_bits,
+    bool => u64::from,
+    SimDuration => SimDuration::as_nanos,
+}
+
+impl<T: KeyWords> KeyWords for Vec<T> {
+    fn key_words(&self, h: &mut KeyHasher) {
+        h.word(self.len() as u64);
+        for item in self {
+            item.key_words(h);
+        }
+    }
+}
+
+impl<T: KeyWords> KeyWords for Option<T> {
+    fn key_words(&self, h: &mut KeyHasher) {
+        match self {
+            None => h.word(0),
+            Some(v) => words!(h, &1u64, v),
+        }
+    }
+}
+
+struct_words! {
+    Scenario {
+        machine, cores, policy, app, server, competitors, cost, repeats, seed, deadline, trace,
+        trace_sample, check, ordering,
+    }
+    SpeedBalancerConfig {
+        interval, randomize_interval, speed_threshold, post_migration_block, measurement_noise,
+        block_numa_migrations, startup_delay, cross_cache_interval_mult, metric, weight_core_speed,
+    }
+    SpmdConfig {
+        threads, phases, work_per_phase, imbalance, wait, rss_per_thread, mem_intensity,
+    }
+    ServerConfig {
+        workers, arrival, service, fanout, queue_capacity, shed_after, window, rss_per_worker,
+        mem_intensity,
+    }
+    CostModel {
+        refill_bytes_per_sec, min_migration_cost, max_migration_cost, numa_remote_factor,
+        smt_migration_cost,
+    }
+}
+
+impl KeyWords for Machine {
+    fn key_words(&self, h: &mut KeyHasher) {
+        match self {
+            Machine::Tigerton => h.word(0),
+            Machine::Barcelona => h.word(1),
+            Machine::Nehalem => h.word(2),
+            Machine::Uniform(n) => words!(h, &3u64, n),
+            Machine::Asymmetric { fast, slow, factor } => words!(h, &4u64, fast, slow, factor),
+            Machine::BigLittle4p8e => h.word(5),
+            Machine::Turbo2p => h.word(6),
+            Machine::Throttle => h.word(7),
+        }
+    }
+}
+
+impl KeyWords for Policy {
+    fn key_words(&self, h: &mut KeyHasher) {
+        match self {
+            Policy::Pinned => h.word(0),
+            Policy::Load => h.word(1),
+            Policy::Speed => h.word(2),
+            Policy::SpeedWith(cfg) => words!(h, &3u64, cfg),
+            Policy::Dwrr => h.word(4),
+            Policy::Ule => h.word(5),
+            Policy::UleTuned => h.word(6),
+        }
+    }
+}
+
+impl KeyWords for SpeedMetric {
+    fn key_words(&self, h: &mut KeyHasher) {
+        match self {
+            SpeedMetric::ExecTime => h.word(0),
+            SpeedMetric::InverseQueueLength => h.word(1),
+        }
+    }
+}
+
+impl KeyWords for WaitMode {
+    fn key_words(&self, h: &mut KeyHasher) {
+        match self {
+            WaitMode::Spin => h.word(0),
+            WaitMode::Yield => h.word(1),
+            WaitMode::Block => h.word(2),
+            WaitMode::SpinThenBlock(spin) => words!(h, &3u64, spin),
+        }
+    }
+}
+
+impl KeyWords for ArrivalProcess {
+    fn key_words(&self, h: &mut KeyHasher) {
+        match self {
+            ArrivalProcess::Poisson { rate_per_sec } => words!(h, &0u64, rate_per_sec),
+            ArrivalProcess::Mmpp {
+                calm_rate,
+                burst_rate,
+                mean_calm,
+                mean_burst,
+            } => words!(h, &1u64, calm_rate, burst_rate, mean_calm, mean_burst),
+            ArrivalProcess::Replay {
+                rates_per_sec,
+                step,
+            } => words!(h, &2u64, rates_per_sec, step),
+        }
+    }
+}
+
+impl KeyWords for ServiceDist {
+    fn key_words(&self, h: &mut KeyHasher) {
+        match self {
+            ServiceDist::Exponential { mean } => words!(h, &0u64, mean),
+            ServiceDist::LogNormal { median, sigma } => words!(h, &1u64, median, sigma),
+            ServiceDist::Bimodal {
+                fast,
+                slow,
+                slow_prob,
+            } => words!(h, &2u64, fast, slow, slow_prob),
+        }
+    }
+}
+
+impl KeyWords for Competitor {
+    fn key_words(&self, h: &mut KeyHasher) {
+        match self {
+            Competitor::CpuHog { core } => words!(h, &0u64, core),
+            Competitor::MakeJ {
+                tasks,
+                jobs_per_task,
+            } => words!(h, &1u64, tasks, jobs_per_task),
+        }
+    }
+}
+
+impl KeyWords for OrderingPolicy {
+    fn key_words(&self, h: &mut KeyHasher) {
+        match self {
+            OrderingPolicy::Fifo => h.word(0),
+            OrderingPolicy::Lifo => h.word(1),
+            OrderingPolicy::SeededShuffle(seed) => words!(h, &2u64, seed),
+            OrderingPolicy::Exhaustive { k, prefix } => words!(h, &3u64, k, prefix),
+        }
+    }
 }
 
 fn cache_path(key: CacheKey) -> PathBuf {
     cache_dir().join(format!("{}.json", key.hex()))
 }
 
+/// The stack buffer [`cache_load`] reads into: quick-profile documents
+/// take 318–1,113 bytes, and zeroing 16 KiB per hit cost 3% of a warm pass.
+const READ_BUF_BYTES: usize = 4 << 10;
+
+/// Reads `key`'s document with one `read` call, finishing with
+/// `read_to_end` only when it fills the buffer, and decodes it. A short
+/// read can only be a miss: no proper prefix of a document decodes, since
+/// its only `\n}\n` is its end.
 fn cache_load(key: CacheKey) -> Option<ScenarioResult> {
-    decode_cache_doc(&std::fs::read(cache_path(key)).ok()?, key)
+    let mut file = std::fs::File::open(cache_path(key)).ok()?;
+    let mut buf = [0; READ_BUF_BYTES];
+    let len = file.read(&mut buf).ok()?;
+    if len < buf.len() {
+        return decode_cache_doc(&buf[..len], key);
+    }
+    let mut doc = buf.to_vec();
+    file.read_to_end(&mut doc).ok()?;
+    decode_cache_doc(&doc, key)
 }
 
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -657,6 +879,20 @@ fn decode_cache_doc(doc: &[u8], key: CacheKey) -> Option<ScenarioResult> {
     r.0.is_empty().then_some(result)
 }
 
+/// The flag [`HEX_DIGIT`] holds for a byte outside `[0-9a-f]`.
+const NOT_HEX: u8 = 0x10;
+
+/// Each byte's lower-case hex digit value, or [`NOT_HEX`].
+const HEX_DIGIT: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[b"0123456789abcdef"[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
 /// The unread bytes of a cache document. Each reader mirrors one writer
 /// above and consumes exactly its output, or returns `None`.
 struct DocReader<'a>(&'a [u8]);
@@ -668,17 +904,19 @@ impl DocReader<'_> {
         Some(())
     }
 
-    /// A `{:016x}` value: exactly 16 lowercase hex digits.
+    /// A `{:016x}` value: exactly 16 lowercase hex digits, decoded by table
+    /// lookup with no branch per digit; a bad digit's flag bit is tested
+    /// once per value.
     fn hex_u64(&mut self) -> Option<u64> {
         let (digits, rest) = self.0.split_first_chunk::<16>()?;
-        let mut v = 0;
+        let (mut v, mut flags) = (0, 0);
         for &d in digits {
-            let nibble = match d {
-                b'0'..=b'9' => d - b'0',
-                b'a'..=b'f' => d - b'a' + 10,
-                _ => return None,
-            };
-            v = v << 4 | u64::from(nibble);
+            let nibble = HEX_DIGIT[usize::from(d)];
+            flags |= nibble;
+            v = v << 4 | u64::from(nibble & 0xf);
+        }
+        if flags & NOT_HEX != 0 {
+            return None;
         }
         self.0 = rest;
         Some(v)
@@ -1166,6 +1404,104 @@ pub(crate) mod tests {
         }
     }
 
+    /// The decoder `hex_u64` replaced: one branch per digit.
+    fn match_hex_u64(digits: &[u8; 16]) -> Option<u64> {
+        let mut v = 0;
+        for &d in digits {
+            let nibble = match d {
+                b'0'..=b'9' => d - b'0',
+                b'a'..=b'f' => d - b'a' + 10,
+                _ => return None,
+            };
+            v = v << 4 | u64::from(nibble);
+        }
+        Some(v)
+    }
+
+    #[test]
+    fn hex_decoder_matches_the_match_decoder_on_every_byte() {
+        let base = *b"0123456789abcdef";
+        let mut accepted = 0;
+        for pos in 0..16 {
+            for byte in 0..=255u8 {
+                let mut digits = base;
+                digits[pos] = byte;
+                let doc = [&digits[..], b"tail"].concat();
+                let mut r = DocReader(&doc);
+                let got = r.hex_u64();
+                assert_eq!(got, match_hex_u64(&digits), "{byte:#04x} at {pos}");
+                assert_eq!(
+                    got.is_some(),
+                    byte.is_ascii_hexdigit() && !byte.is_ascii_uppercase()
+                );
+                // A hit consumes exactly the 16 digits; a miss consumes nothing.
+                let rest: &[u8] = if got.is_some() { b"tail" } else { &doc };
+                assert_eq!(r.0, rest);
+                accepted += usize::from(got.is_some());
+            }
+        }
+        assert_eq!(accepted, 16 * 16);
+    }
+
+    /// A result with `n` completion values and the given timeouts count.
+    fn sized_result(n: usize, timeouts: usize) -> ScenarioResult {
+        ScenarioResult {
+            completion: RepeatStats {
+                values: (0..n).map(|i| i as f64 / 7.0).collect(),
+            },
+            migrations: RepeatStats { values: vec![3.0] },
+            timeouts,
+            server: None,
+        }
+    }
+
+    #[test]
+    fn documents_beyond_the_read_buffer_are_hits_bit_for_bit() {
+        let _g = global_guard();
+        let dir = temp_cache_dir("large");
+        set_cache_dir(Some(dir.clone()));
+        let key = CacheKey(0x1a23_e000_0000_0001);
+        // Documents one byte short of, exactly at and one byte past the
+        // buffer: a timeouts count of d digits adds d - 1 bytes, so some
+        // count lands each length.
+        let mut cases = Vec::new();
+        for target in READ_BUF_BYTES - 1..=READ_BUF_BYTES + 1 {
+            let n = (0..)
+                .find(|&n| cache_doc(key, &sized_result(n + 1, 0)).len() > target)
+                .unwrap();
+            let short = target - cache_doc(key, &sized_result(n, 0)).len();
+            let timeouts = if short == 0 {
+                0
+            } else {
+                10usize.pow(short as u32)
+            };
+            cases.push(sized_result(n, timeouts));
+        }
+        // A server cell of 2,000 repeats: every array past the buffer.
+        let mut server = ServerStats::default();
+        for (_, _, get_mut) in &SERVER_FIELDS {
+            get_mut(&mut server).values = (0..2_000).map(|i| f64::from(i) * 0.25).collect();
+        }
+        cases.push(ScenarioResult {
+            server: Some(server),
+            ..sized_result(2_000, 12)
+        });
+        let lens: Vec<usize> = cases.iter().map(|r| cache_doc(key, r).len()).collect();
+        assert_eq!(
+            lens[..3],
+            [READ_BUF_BYTES - 1, READ_BUF_BYTES, READ_BUF_BYTES + 1]
+        );
+        assert!(lens[3] > 16 * READ_BUF_BYTES);
+        for res in &cases {
+            cache_store(key, res);
+            let back = cache_load(key).expect("a stored document is a hit");
+            assert_eq!(cache_doc(key, &back), cache_doc(key, res));
+            assert_eq!(bits(&back.completion.values), bits(&res.completion.values));
+        }
+        set_cache_dir(None);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn a_corrupted_cache_file_is_re_simulated_and_rewritten() {
         use crate::scenario::{Machine, Policy, Scenario};
@@ -1397,22 +1733,187 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    /// FNV-1a over `bytes`: the key formula of builds that formatted the
-    /// key material into a `String` first.
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+    /// The key material of builds that hashed `Debug` text: the reference
+    /// the explicit encoding is checked against.
+    fn debug_key_material(s: &Scenario) -> String {
+        format!("v{SWEEP_SCHEMA_VERSION}|scenario|{s:?}")
     }
 
-    #[test]
-    fn streamed_cache_key_equals_the_formatted_key() {
-        use crate::scenario::{Machine, Policy, Scenario};
-        use speedbal_apps::WaitMode;
-        use speedbal_core::SpeedBalancerConfig;
+    fn speed_cfg(s: &mut Scenario) -> &mut SpeedBalancerConfig {
+        match &mut s.policy {
+            Policy::SpeedWith(cfg) => cfg,
+            other => panic!("{other:?} has no config"),
+        }
+    }
+
+    fn server_cfg(s: &mut Scenario) -> &mut ServerConfig {
+        s.server.as_mut().expect("a server cell")
+    }
+
+    fn ms(n: u64) -> SimDuration {
+        SimDuration::from_millis(n)
+    }
+
+    fn mmpp(calm_rate: f64, burst_rate: f64, calm_ms: u64, burst_ms: u64) -> ArrivalProcess {
+        ArrivalProcess::Mmpp {
+            calm_rate,
+            burst_rate,
+            mean_calm: ms(calm_ms),
+            mean_burst: ms(burst_ms),
+        }
+    }
+
+    fn replay(rates: &[f64], step_ms: u64) -> ArrivalProcess {
+        ArrivalProcess::Replay {
+            rates_per_sec: rates.to_vec(),
+            step: ms(step_ms),
+        }
+    }
+
+    fn bimodal(fast_ms: u64, slow_ms: u64, slow_prob: f64) -> ServiceDist {
+        ServiceDist::Bimodal {
+            fast: ms(fast_ms),
+            slow: ms(slow_ms),
+            slow_prob,
+        }
+    }
+
+    fn asym(fast: usize, slow: usize, factor: f64) -> Machine {
+        Machine::Asymmetric { fast, slow, factor }
+    }
+
+    fn make_j(tasks: u32, jobs_per_task: u32) -> Competitor {
+        Competitor::MakeJ {
+            tasks,
+            jobs_per_task,
+        }
+    }
+
+    fn exhaustive(k: u32, prefix: &[u32]) -> OrderingPolicy {
+        OrderingPolicy::Exhaustive {
+            k,
+            prefix: prefix.to_vec(),
+        }
+    }
+
+    /// A cell that holds every config type: a configured SPEED policy, an
+    /// SPMD app, a server and a competitor.
+    fn full_cell() -> Scenario {
+        use speedbal_workloads::ep;
+        Scenario::new(
+            Machine::Uniform(4),
+            0,
+            Policy::SpeedWith(SpeedBalancerConfig::default()),
+            ep().spmd(3, WaitMode::Yield, 0.05),
+        )
+        .server(speedbal_workloads::web(6, 4, 0.7, ms(150)))
+        .competitors(vec![make_j(2, 3)])
+    }
+
+    /// One-field edits of [`full_cell`]: every field of every config type
+    /// the key reads, and every enum variant.
+    const KEY_EDITS: &[fn(&mut Scenario)] = &[
+        // Scenario
+        |s| s.machine = Machine::Uniform(5),
+        |s| s.machine = asym(2, 2, 0.5),
+        |s| s.machine = asym(3, 2, 0.5),
+        |s| s.machine = asym(2, 3, 0.5),
+        |s| s.machine = asym(2, 2, 0.25),
+        |s| s.cores = 2,
+        |s| s.repeats = 3,
+        |s| s.seed = 1,
+        |s| s.deadline = ms(60_000),
+        |s| s.trace = true,
+        |s| s.trace_sample = 0.5,
+        |s| s.check = true,
+        // OrderingPolicy
+        |s| s.ordering = OrderingPolicy::Lifo,
+        |s| s.ordering = OrderingPolicy::SeededShuffle(1),
+        |s| s.ordering = OrderingPolicy::SeededShuffle(2),
+        |s| s.ordering = exhaustive(2, &[]),
+        |s| s.ordering = exhaustive(3, &[]),
+        |s| s.ordering = exhaustive(2, &[1]),
+        |s| s.ordering = exhaustive(2, &[1, 0]),
+        // SpeedBalancerConfig and SpeedMetric
+        |s| speed_cfg(s).interval = ms(20),
+        |s| speed_cfg(s).randomize_interval = false,
+        |s| speed_cfg(s).speed_threshold = 0.8,
+        |s| speed_cfg(s).post_migration_block = 3,
+        |s| speed_cfg(s).measurement_noise = 0.1,
+        |s| speed_cfg(s).block_numa_migrations = false,
+        |s| speed_cfg(s).startup_delay = ms(1),
+        |s| speed_cfg(s).cross_cache_interval_mult = 2,
+        |s| speed_cfg(s).metric = SpeedMetric::InverseQueueLength,
+        |s| speed_cfg(s).weight_core_speed = true,
+        // SpmdConfig and WaitMode
+        |s| s.app.threads = 4,
+        |s| s.app.phases += 1,
+        |s| s.app.work_per_phase = ms(7),
+        |s| s.app.imbalance = 0.25,
+        |s| s.app.wait = WaitMode::Spin,
+        |s| s.app.wait = WaitMode::Block,
+        |s| s.app.wait = WaitMode::SpinThenBlock(ms(200)),
+        |s| s.app.wait = WaitMode::SpinThenBlock(ms(100)),
+        |s| s.app.rss_per_thread += 1,
+        |s| s.app.mem_intensity = 0.5,
+        // ServerConfig
+        |s| s.server = None,
+        |s| server_cfg(s).workers = 7,
+        |s| server_cfg(s).fanout = 2,
+        |s| server_cfg(s).queue_capacity = 8,
+        |s| server_cfg(s).shed_after = ms(5),
+        |s| server_cfg(s).window = ms(200),
+        |s| server_cfg(s).rss_per_worker += 1,
+        |s| server_cfg(s).mem_intensity = 0.3,
+        // ArrivalProcess
+        |s| server_cfg(s).arrival = ArrivalProcess::Poisson { rate_per_sec: 9.0 },
+        |s| server_cfg(s).arrival = mmpp(10.0, 50.0, 100, 20),
+        |s| server_cfg(s).arrival = mmpp(11.0, 50.0, 100, 20),
+        |s| server_cfg(s).arrival = mmpp(10.0, 51.0, 100, 20),
+        |s| server_cfg(s).arrival = mmpp(10.0, 50.0, 101, 20),
+        |s| server_cfg(s).arrival = mmpp(10.0, 50.0, 100, 21),
+        |s| server_cfg(s).arrival = replay(&[10.0, 20.0], 50),
+        |s| server_cfg(s).arrival = replay(&[10.0, 21.0], 50),
+        |s| server_cfg(s).arrival = replay(&[10.0], 50),
+        |s| server_cfg(s).arrival = replay(&[10.0, 20.0, 0.0], 50),
+        |s| server_cfg(s).arrival = replay(&[10.0, 20.0], 60),
+        // ServiceDist
+        |s| server_cfg(s).service = ServiceDist::Exponential { mean: ms(1) },
+        |s| server_cfg(s).service = ServiceDist::Exponential { mean: ms(2) },
+        |s| {
+            server_cfg(s).service = ServiceDist::LogNormal {
+                median: ms(1),
+                sigma: 0.75,
+            }
+        },
+        |s| {
+            server_cfg(s).service = ServiceDist::LogNormal {
+                median: ms(1),
+                sigma: 0.5,
+            }
+        },
+        |s| server_cfg(s).service = bimodal(1, 10, 0.1),
+        |s| server_cfg(s).service = bimodal(2, 10, 0.1),
+        |s| server_cfg(s).service = bimodal(1, 11, 0.1),
+        |s| server_cfg(s).service = bimodal(1, 10, 0.2),
+        // Competitor
+        |s| s.competitors = vec![],
+        |s| s.competitors = vec![make_j(3, 3)],
+        |s| s.competitors = vec![make_j(2, 4)],
+        |s| s.competitors = vec![Competitor::CpuHog { core: 0 }],
+        |s| s.competitors = vec![Competitor::CpuHog { core: 1 }],
+        |s| s.competitors = vec![make_j(2, 3), Competitor::CpuHog { core: 0 }],
+        // CostModel
+        |s| s.cost.refill_bytes_per_sec = 4.0e9,
+        |s| s.cost.min_migration_cost = ms(1),
+        |s| s.cost.max_migration_cost = ms(3),
+        |s| s.cost.numa_remote_factor = 1.0,
+        |s| s.cost.smt_migration_cost = ms(2),
+    ];
+
+    /// Every `Machine` × every `Policy`, a server, a competitor and a
+    /// traced cell, then [`full_cell`] and each of [`KEY_EDITS`].
+    fn key_cells() -> Vec<Scenario> {
         use speedbal_workloads::ep;
         let app = ep().spmd(3, WaitMode::Yield, 0.05);
         let machines = [
@@ -1420,11 +1921,7 @@ pub(crate) mod tests {
             Machine::Barcelona,
             Machine::Nehalem,
             Machine::Uniform(4),
-            Machine::Asymmetric {
-                fast: 2,
-                slow: 2,
-                factor: 0.5,
-            },
+            asym(2, 2, 0.5),
             Machine::BigLittle4p8e,
             Machine::Turbo2p,
             Machine::Throttle,
@@ -1446,7 +1943,7 @@ pub(crate) mod tests {
                     .map(|p| Scenario::new(m.clone(), 0, p.clone(), app.clone()))
             })
             .collect();
-        let web = speedbal_workloads::web(6, 4, 0.7, speedbal_sim::SimDuration::from_millis(150));
+        let web = speedbal_workloads::web(6, 4, 0.7, ms(150));
         cells.push(Scenario::server_only(
             Machine::Uniform(4),
             0,
@@ -1458,9 +1955,66 @@ pub(crate) mod tests {
                 .competitors(vec![Competitor::CpuHog { core: 0 }]),
         );
         cells.push(Scenario::new(Machine::Uniform(2), 0, Policy::Speed, app).traced(true));
-        for s in &cells {
-            let formatted = fnv1a64(format!("v{SWEEP_SCHEMA_VERSION}|scenario|{s:?}").as_bytes());
-            assert_eq!(scenario_cache_key(s), CacheKey(formatted), "{}", s.label());
+        // A separately built copy of the first cell: equal text, so the
+        // test's equal direction runs too.
+        cells.push(Scenario::new(
+            Machine::Tigerton,
+            0,
+            Policy::Pinned,
+            ep().spmd(3, WaitMode::Yield, 0.05),
+        ));
+        let base = full_cell();
+        cells.push(base.clone());
+        for edit in KEY_EDITS {
+            let mut s = base.clone();
+            edit(&mut s);
+            assert_ne!(debug_key_material(&s), debug_key_material(&base));
+            cells.push(s);
+        }
+        cells
+    }
+
+    #[test]
+    fn cache_keys_are_equal_exactly_when_debug_strings_are() {
+        let cells = key_cells();
+        let keys: Vec<CacheKey> = cells.iter().map(scenario_cache_key).collect();
+        let material: Vec<String> = cells.iter().map(debug_key_material).collect();
+        for (i, (key, text)) in keys.iter().zip(&material).enumerate() {
+            for (other_key, other_text) in keys.iter().zip(&material).skip(i + 1) {
+                assert_eq!(key == other_key, text == other_text, "{text}\n{other_text}");
+            }
+        }
+        let mut distinct = material.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert!(distinct.len() < material.len());
+    }
+
+    /// Changing the key encoding orphans every cache file already on disk;
+    /// these pins make that a deliberate act.
+    #[test]
+    fn golden_cache_keys() {
+        use speedbal_workloads::ep;
+        let app = ep().spmd(3, WaitMode::Yield, 0.05);
+        let web = speedbal_workloads::web(6, 4, 0.7, ms(150));
+        let mut cost_edit = full_cell();
+        cost_edit.cost.smt_migration_cost = ms(2);
+        let cells = [
+            Scenario::new(Machine::Tigerton, 0, Policy::Pinned, app.clone()),
+            Scenario::new(Machine::Uniform(2), 0, Policy::Speed, app).traced(true),
+            Scenario::server_only(Machine::Uniform(4), 0, Policy::Speed, web),
+            full_cell(),
+            cost_edit,
+        ];
+        let keys = [
+            0xf5a6_5836_d9b1_fe8e,
+            0x9f0e_b649_952d_bffe,
+            0xc309_c683_7595_243d,
+            0x7364_cfb1_b4d4_7fa1,
+            0x82db_7ea9_d316_4944,
+        ];
+        for (s, key) in cells.iter().zip(keys) {
+            assert_eq!(scenario_cache_key(s), CacheKey(key), "{}", s.label());
         }
     }
 
