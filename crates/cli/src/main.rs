@@ -34,8 +34,10 @@
 //!                     (ep-3x2, ep-16x8, ep-hog, cg-barrier, web-serve)
 //!                     under the SPEED and LOAD policies and print a
 //!                     summary
-//!   bench       time the event-loop hot path on the 16-core × 64-thread
-//!               cg.B scenario and write BENCH_sim.json (see EXPERIMENTS.md)
+//!   bench       time the event loop on the 10-cell benchmark matrix
+//!               (policies × workloads × machines, quarter scale, best of
+//!               3) and the sweep executor, and write BENCH_sim.json (see
+//!               EXPERIMENTS.md)
 //!   check       run the correctness subsystem: event-queue differential
 //!               fuzz, scenario differential replays, and the Lemma 1
 //!               conformance sweep; non-zero exit on any violation
@@ -65,13 +67,9 @@
 //!   --trace-out <f>  write Chrome trace JSON (load in Perfetto). With
 //!                    `trace` the files derive from <f>; with any other
 //!                    artifact every scenario dumps one file per repeat.
-//!   --profile        bench: print a per-subsystem time breakdown (queue
-//!                    pops, dispatch, wakes, balancer ticks, trace emit)
-//!                    on stderr instead of timing repeats
-//!   --quick          bench: quarter-scale workload, best of 3 (CI-sized)
-//!                    check: fewer fuzz seeds, smaller grid (CI-sized)
-//!   --jobs <n>       sweep-executor worker budget (also caps the
-//!                    per-scenario repeat pool); default: SPEEDBAL_JOBS or
+//!   --quick          check: fewer fuzz seeds, smaller grid (CI-sized)
+//!   --jobs <n>       sweep-executor worker budget (also the per-scenario
+//!                    repeat pool's); default: SPEEDBAL_JOBS or
 //!                    the machine's parallelism. Results are byte-identical
 //!                    at every job count.
 //!   --no-cache       bypass the content-addressed result cache in
@@ -82,7 +80,8 @@
 //!   --out <f>        bench: output path [default: BENCH_sim.json]
 //!                    check --fuzz: repro file path [default: fuzz_repros.txt]
 //!   --check <f>      bench: compare against a committed report instead of
-//!                    writing; fail if ns/step exceeds 2x the committed value
+//!                    writing; fail if a cell's step count differs or its
+//!                    ns/step exceeds 2x the committed value
 //!   --fuzz           check: run the schedule-space fuzzer instead of the
 //!                    three standard layers
 //!   --corpus <f>     check --fuzz: shuffle-seed corpus file, one seed per
@@ -164,11 +163,10 @@ struct Options {
     machine: Option<Machine>,
     policy: Option<Policy>,
     trace_out: Option<PathBuf>,
-    bench_quick: bool,
+    /// `check --quick`: the CI-sized correctness run.
+    quick: bool,
     bench_out: Option<PathBuf>,
     bench_check: Option<PathBuf>,
-    /// Print the per-subsystem time breakdown instead of timing repeats.
-    bench_profile: bool,
     /// Sweep-executor worker budget (`--jobs`); falls back to
     /// `SPEEDBAL_JOBS`, then the machine's parallelism.
     jobs: Option<usize>,
@@ -207,10 +205,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut machine = None;
     let mut policy = None;
     let mut trace_out = None;
-    let mut bench_quick = false;
+    let mut quick = false;
     let mut bench_out = None;
     let mut bench_check = None;
-    let mut bench_profile = false;
     let mut jobs = None;
     let mut no_cache = false;
     let mut trace_sample = 1.0f64;
@@ -251,8 +248,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let v = it.next().ok_or("--trace-out needs a path")?;
                 trace_out = Some(PathBuf::from(v));
             }
-            "--quick" => bench_quick = true,
-            "--profile" => bench_profile = true,
+            "--quick" => quick = true,
             "--fuzz" => fuzz = true,
             "--corpus" => {
                 let v = it.next().ok_or("--corpus needs a path")?;
@@ -333,10 +329,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         machine,
         policy,
         trace_out,
-        bench_quick,
+        quick,
         bench_out,
         bench_check,
-        bench_profile,
         jobs,
         no_cache,
         trace_sample,
@@ -396,95 +391,51 @@ fn run_trace(name: &str, opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `speedbal-cli bench [--quick] [--out f] [--check f]`: time the hot
-/// path and the multi-scenario matrix, then either write `BENCH_sim.json`
-/// (preserving any `before` baseline block the existing file carries) or,
-/// with `--check`, compare ns/step — headline and per matrix cell —
-/// against a committed report with 2x tolerance and exit non-zero on
-/// regression (naming the offending cell). `--check` combined with
-/// `--out` also writes the fresh report, so CI can archive it.
+/// `speedbal-cli bench [--out f] [--check f]`: time every matrix cell and
+/// the sweep executor, then either write `BENCH_sim.json` or, with
+/// `--check`, compare against a committed report — every cell's step
+/// count exactly and its ns/step with 2x tolerance — and exit non-zero on
+/// a mismatch, naming the offending cell. `--check` combined with `--out`
+/// also writes the fresh report, so CI can archive it.
 fn run_bench_cmd(opts: &Options) -> Result<(), CliError> {
-    let cfg = if opts.bench_quick {
-        perf::BenchConfig::quick()
-    } else {
-        perf::BenchConfig::full()
-    };
-    if opts.bench_profile {
-        eprintln!(
-            "== bench --profile: {} (scale {}) ==",
-            perf::BENCH_SCENARIO,
-            cfg.scale
-        );
-        let report = perf::run_profile(&cfg);
-        eprint!("{}", report.render());
-        println!(
-            "profiled {} steps at scale {} (breakdown on stderr)",
-            report.profile.steps, report.scale
-        );
-        return Ok(());
-    }
-    eprintln!(
-        "== bench: {} (scale {}, best of {}) ==",
-        perf::BENCH_SCENARIO,
-        cfg.scale,
-        cfg.repeats
-    );
-    let mut report = perf::run_bench(&cfg, |line| eprintln!("  {line}"));
-    eprintln!("== bench matrix: policies x workloads x machines ==");
-    report.matrix = perf::run_matrix(&cfg, |line| eprintln!("  {line}"));
-    eprintln!("== sweep bench: 12-cell scenario grid, cold + warm pass ==");
-    report.sweep = Some(perf::run_sweep_bench(&cfg));
-    println!(
-        "{} steps in {:.3} sim secs: {:.1} ns/step ({:.0} steps/sec), \
-         {} cancellations, peak RSS {} kB",
-        report.steps,
-        report.sim_secs,
-        report.ns_per_step,
-        report.steps_per_sec,
-        report.cancellations,
-        report.peak_rss_kb
-    );
-    println!(
-        "matrix: {} cells, headline {:.1} ns/step",
-        report.matrix.len(),
-        report
-            .matrix
-            .first()
-            .map_or(report.ns_per_step, |c| c.ns_per_step)
-    );
-    if let Some(sw) = &report.sweep {
-        println!(
-            "sweep: {} cells in {:.3}s ({:.1} cells/sec) on {} worker(s); \
-             warm pass: {} cache hits",
-            sw.cells, sw.wall_secs, sw.cells_per_sec, sw.jobs, sw.cache_hits
-        );
-    }
-    if let Some(check) = &opts.bench_check {
-        let text = std::fs::read_to_string(check).map_err(|e| CliError::io(check, e))?;
-        let doc = perf::parse_bench_doc(&text).map_err(|e| format!("{}: {e}", check.display()))?;
-        // With an explicit --out, the fresh report is also written (before
-        // the verdict, so CI can archive it even when the check fails).
-        if let Some(out) = &opts.bench_out {
-            std::fs::write(out, report.to_json(doc.before.as_ref()))
-                .map_err(|e| CliError::io(out, e))?;
-            eprintln!("wrote fresh report to {}", out.display());
+    let committed = match &opts.bench_check {
+        Some(check) => {
+            let text = std::fs::read_to_string(check).map_err(|e| CliError::io(check, e))?;
+            Some(perf::parse_bench_doc(&text).map_err(|e| format!("{}: {e}", check.display()))?)
         }
-        let verdict = perf::check_against(&report, &doc, 2.0)?;
-        println!("{verdict}");
-        return Ok(());
+        None => None,
+    };
+    eprintln!(
+        "== bench matrix: policies x workloads x machines (scale {}, best of {}) ==",
+        perf::BENCH_SCALE,
+        perf::BENCH_REPEATS
+    );
+    let report = perf::run_bench(|line| eprintln!("  {line}"));
+    let sw = &report.sweep;
+    println!(
+        "matrix: {} cells at scale {}; sweep: {} cells in {:.3}s ({:.1} cells/sec) \
+         on {} worker(s), warm pass: {} cache hits",
+        report.matrix.len(),
+        perf::BENCH_SCALE,
+        sw.cells,
+        sw.wall_secs,
+        sw.cells_per_sec,
+        sw.jobs,
+        sw.cache_hits
+    );
+    let out = match (&opts.bench_out, &committed) {
+        (Some(out), _) => Some(out.clone()),
+        (None, None) => Some(PathBuf::from("BENCH_sim.json")),
+        (None, Some(_)) => None,
+    };
+    // Written before the verdict, so CI can archive a failing run.
+    if let Some(out) = &out {
+        std::fs::write(out, report.to_json()).map_err(|e| CliError::io(out, e))?;
+        eprintln!("wrote {}", out.display());
     }
-    let out = opts
-        .bench_out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_sim.json"));
-    // Keep the pre-optimization baseline block across regenerations.
-    let before = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|t| perf::parse_bench_doc(&t).ok())
-        .and_then(|d| d.before)
-        .unwrap_or_else(perf::recorded_baseline);
-    std::fs::write(&out, report.to_json(Some(&before))).map_err(|e| CliError::io(&out, e))?;
-    println!("wrote {}", out.display());
+    if let Some(doc) = &committed {
+        println!("{}", perf::check_against(&report, doc, 2.0)?);
+    }
     Ok(())
 }
 
@@ -527,7 +478,7 @@ fn load_corpus(path: &Path) -> Result<Vec<u64>, CliError> {
 /// fuzzer; on failure the minimized repro triples are also written to
 /// the `--out` file (default `fuzz_repros.txt`) for CI to archive.
 fn run_fuzz_cmd(opts: &Options) -> Result<(), CliError> {
-    let mut fo = speedbal_check::FuzzOptions::new(opts.bench_quick);
+    let mut fo = speedbal_check::FuzzOptions::new(opts.quick);
     if let Some(path) = &opts.fuzz_corpus {
         fo.corpus = load_corpus(path)?;
     }
@@ -536,7 +487,7 @@ fn run_fuzz_cmd(opts: &Options) -> Result<(), CliError> {
     fo.ordering = opts.fuzz_ordering.clone();
     eprintln!(
         "== check --fuzz: schedule-space orderings ({}, {} corpus seeds) ==",
-        if opts.bench_quick { "quick" } else { "full" },
+        if opts.quick { "quick" } else { "full" },
         fo.corpus.len()
     );
     let report = speedbal_check::run_fuzz(&fo);
@@ -566,9 +517,9 @@ fn run_check_cmd(opts: &Options) -> Result<(), CliError> {
     }
     eprintln!(
         "== check: invariants / differential / Lemma 1 conformance ({}) ==",
-        if opts.bench_quick { "quick" } else { "full" }
+        if opts.quick { "quick" } else { "full" }
     );
-    let report = speedbal_check::run_full_check(opts.bench_quick);
+    let report = speedbal_check::run_full_check(opts.quick);
     print!("{}", report.render());
     if report.ok() {
         Ok(())
@@ -695,7 +646,7 @@ usage: speedbal-cli [--full] [--scale f] [--repeats n] [--machine m]
 artifacts: fig1 fig2 tab1 fig3 tab2 tab3 fig4 fig5 fig6 barriers numa serve
            hetero ablations all
            trace <scenario>   (ep-3x2 ep-16x8 ep-hog cg-barrier web-serve)
-           bench [--quick] [--profile] [--out f] [--check f]
+           bench [--out f] [--check f]
            check [--quick] [--fuzz [--corpus f] [--only sub]
                             [--repeat n] [--ordering p] [--out f]]
 exit codes: 1 runtime error, 2 usage error, 3 correctness violation,
@@ -804,11 +755,9 @@ mod tests {
     fn parses_bench_subcommand_and_options() {
         let o = parse(&["bench"]).unwrap();
         assert_eq!(o.artifacts, vec!["bench"]);
-        assert!(!o.bench_quick);
         assert!(o.bench_out.is_none() && o.bench_check.is_none());
 
-        let o = parse(&["bench", "--quick", "--out", "/tmp/b.json"]).unwrap();
-        assert!(o.bench_quick);
+        let o = parse(&["bench", "--out", "/tmp/b.json"]).unwrap();
         assert_eq!(o.bench_out, Some(PathBuf::from("/tmp/b.json")));
 
         let o = parse(&["bench", "--check", "BENCH_sim.json"]).unwrap();
@@ -824,10 +773,10 @@ mod tests {
     fn parses_check_subcommand() {
         let o = parse(&["check"]).unwrap();
         assert_eq!(o.artifacts, vec!["check"]);
-        assert!(!o.bench_quick);
+        assert!(!o.quick);
 
         let o = parse(&["check", "--quick"]).unwrap();
-        assert!(o.bench_quick);
+        assert!(o.quick);
     }
 
     #[test]
@@ -841,14 +790,7 @@ mod tests {
             .split('"')
             .filter(|t| t.starts_with("--") && !t.contains(' '))
             .collect();
-        for f in [
-            "--full",
-            "--jobs",
-            "--no-cache",
-            "--trace-sample",
-            "--profile",
-            "--help",
-        ] {
+        for f in ["--full", "--jobs", "--no-cache", "--trace-sample", "--help"] {
             assert!(flags.contains(&f), "{f} not found among {flags:?}");
         }
         let words: Vec<&str> = USAGE
@@ -887,7 +829,7 @@ mod tests {
     #[test]
     fn parses_fuzz_flags() {
         let o = parse(&["check", "--fuzz", "--quick"]).unwrap();
-        assert!(o.fuzz && o.bench_quick);
+        assert!(o.fuzz && o.quick);
         assert!(o.fuzz_only.is_none() && o.fuzz_ordering.is_none());
 
         let o = parse(&[

@@ -1,25 +1,25 @@
-//! Wall-clock benchmark of the simulator's event-loop hot path, plus the
+//! Wall-clock benchmark of the simulator's event loop, plus the
 //! committed-baseline check backing the CI perf-smoke job.
 //!
-//! The measured scenario is the repo's canonical stress case: cg.B run as
-//! a 64-thread SPMD app with yielding barriers on the 16-core Tigerton
-//! model under the SPEED policy (CompositeBalancer of SpeedBalancer over
-//! Linux load balancing), seed `0xB0A710AD`. The simulation is fully
-//! deterministic — every repeat executes the identical schedule — so the
-//! only variance between repeats is the host machine, and the report keeps
-//! the *best* (minimum) ns/step, the standard way to estimate the noise
-//! floor of a deterministic workload.
+//! [`run_bench`] times a fixed grid of cells spanning the simulator's
+//! behaviourally distinct regimes — small and large thread counts, traced
+//! and untraced runs, SPEED / LOAD / DWRR policies, and SPMD /
+//! open-loop-server / heterogeneous-machine applications — so a hot-path
+//! regression that only bites one regime (say, the DWRR desched path or
+//! trace emission) still moves a gated number. Cell 0 is the repo's
+//! canonical stress case: cg.B run as a 64-thread SPMD app with yielding
+//! barriers on the 16-core Tigerton model under the SPEED policy.
 //!
-//! Beyond the headline scenario, [`run_matrix`] times a fixed grid of
-//! cells spanning the simulator's behaviourally distinct regimes — small
-//! and large thread counts, traced and untraced runs, SPEED / LOAD / DWRR
-//! policies, and SPMD / open-loop-server / heterogeneous-machine
-//! applications — so a hot-path regression that only bites one regime
-//! (say, the DWRR desched path or trace emission) still moves a gated
-//! number.
+//! Every cell runs at [`BENCH_SCALE`], best of [`BENCH_REPEATS`]. The
+//! simulation is fully deterministic — every repeat executes the identical
+//! schedule — so the only variance between repeats is the host machine,
+//! and the report keeps the *best* (minimum) ns/step, the standard way to
+//! estimate the noise floor of a deterministic workload. For the same
+//! reason a cell's step count is a fixed number, which the check compares
+//! exactly.
 //!
 //! Results serialize to the hand-rolled JSON in `BENCH_sim.json` (schema
-//! `speedbal-bench-v4`, documented in EXPERIMENTS.md); `check_against`
+//! `speedbal-bench-v5`, documented in EXPERIMENTS.md); `check_against`
 //! compares a fresh run to the committed file per cell with a configurable
 //! tolerance and names the offending cell, so CI catches
 //! order-of-magnitude regressions without flaking on noisy runners.
@@ -38,16 +38,20 @@ use std::time::Instant;
 /// numbers correspond to the schedules the tables are generated from.
 pub const BENCH_SEED: u64 = 0xB0A710AD;
 
-/// How the benchmark scenario is described in reports.
-pub const BENCH_SCENARIO: &str =
-    "cg.B spmd x64 (yield barriers) on tigerton x16, SPEED policy, seed 0xB0A710AD";
+/// Workload scale of every matrix cell (1.0 = the paper-scale run). One
+/// size, the one CI checks, so the committed step counts are the ones a
+/// fresh run must replay; ns/step does not depend on the scale.
+pub const BENCH_SCALE: f64 = 0.25;
+
+/// Timed runs per matrix cell; the report keeps the fastest.
+pub const BENCH_REPEATS: usize = 3;
 
 /// Target ceiling on the traced/untraced ns-per-step ratio of paired
 /// matrix cells. The staged record path plus the compact ring leave the
 /// sink itself near-free; the residual overhead is the record call sites
-/// on the dispatch path, which measure ~1.6–1.7x on the cg.B headline
-/// cell (part of that is a cell-ordering cache artifact — see
-/// EXPERIMENTS.md "Tracing overhead"). The gate therefore allows
+/// on the dispatch path, which measure ~1.55x on the cg.B stress cell
+/// at [`BENCH_SCALE`] (part of that is a cell-ordering cache artifact —
+/// see EXPERIMENTS.md "Tracing overhead"). The gate therefore allows
 /// `max(TRACE_OVERHEAD_LIMIT, committed ratio × 1.15)`: the committed
 /// pair sets the enforced ceiling while it is worse than the 1.5x
 /// target, and the gate tightens to 1.5x automatically the moment a
@@ -55,47 +59,16 @@ pub const BENCH_SCENARIO: &str =
 /// allocation storm in the record path fails CI by cell name.
 pub const TRACE_OVERHEAD_LIMIT: f64 = 1.5;
 
-/// Benchmark parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchConfig {
-    /// Workload scale factor (1.0 = the paper-scale run).
-    pub scale: f64,
-    /// Timed repeats; the report keeps the fastest.
-    pub repeats: usize,
-    /// Untimed warm-up runs before measuring.
-    pub warmup: usize,
-}
-
-impl BenchConfig {
-    /// Full benchmark: paper-scale workload, best of 5.
-    pub fn full() -> Self {
-        BenchConfig {
-            scale: 1.0,
-            repeats: 5,
-            warmup: 1,
-        }
-    }
-
-    /// CI-sized benchmark: quarter-scale workload, best of 3.
-    pub fn quick() -> Self {
-        BenchConfig {
-            scale: 0.25,
-            repeats: 3,
-            warmup: 1,
-        }
-    }
-}
-
 /// Throughput of the sweep executor over a deterministic scenario grid:
-/// a cold pass (every cell simulated, results persisted) and a warm pass
+/// cold passes (every cell simulated, results persisted) and a warm pass
 /// (every cell answered from the content-addressed cache).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepBenchReport {
     /// Cells in the grid (identical for the cold and warm pass).
     pub cells: u64,
-    /// Wall-clock seconds of the cold pass.
+    /// Wall-clock seconds of the fastest cold pass.
     pub wall_secs: f64,
-    /// Cold-pass throughput.
+    /// Cold-pass throughput (`cells / wall_secs`).
     pub cells_per_sec: f64,
     /// Cache hits observed by the warm pass (must equal `cells`).
     pub cache_hits: u64,
@@ -103,95 +76,21 @@ pub struct SweepBenchReport {
     pub jobs: usize,
 }
 
-/// One benchmark result (the best repeat, plus run-invariant counters).
-#[derive(Debug, Clone)]
+/// One benchmark run: the `BENCH_sim.json` document, fresh or parsed.
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    pub scenario: String,
-    pub scale: f64,
-    pub repeats: usize,
-    pub warmup: usize,
-    /// Events processed by the deterministic run (repeat-invariant).
-    pub steps: u64,
-    /// Simulated completion time of the app, in seconds.
-    pub sim_secs: f64,
-    /// Best wall-clock nanoseconds per event-loop step.
-    pub ns_per_step: f64,
-    /// Steps per wall-clock second at the best repeat.
-    pub steps_per_sec: f64,
-    /// Slot cancellations over the run (repeat-invariant).
-    pub cancellations: u64,
-    /// Process peak RSS (`VmHWM`) in kB, if readable.
-    pub peak_rss_kb: u64,
-    /// The multi-scenario benchmark matrix (schema v3); empty when the
-    /// matrix pass was not run. Cell 0 duplicates the headline scenario
-    /// (measured separately, with fewer repeats).
+    /// One measured cell per benchmark-matrix entry, in order.
     pub matrix: Vec<MatrixCell>,
-    /// Sweep-executor throughput section (schema v2); `None` when the
-    /// sweep bench was not run.
-    pub sweep: Option<SweepBenchReport>,
-}
-
-fn build_system() -> (System, GroupId) {
-    let topo = tigerton();
-    let cores: Vec<CoreId> = topo.core_ids().collect();
-    let app_group = GroupId(0);
-    let speed =
-        SpeedBalancer::with_config(Default::default(), BENCH_SEED).managing(vec![app_group], cores);
-    let bal = Box::new(CompositeBalancer::new(
-        vec![app_group],
-        Box::new(speed),
-        Box::new(LinuxLoadBalancer::new()),
-    ));
-    let mut sys = System::new(
-        topo,
-        SchedConfig::default(),
-        CostModel::default(),
-        bal,
-        BENCH_SEED,
-    );
-    let g = sys.new_group();
-    debug_assert_eq!(g, app_group);
-    (sys, app_group)
-}
-
-struct RunOutcome {
-    steps: u64,
-    sim_secs: f64,
-    wall_ns: u128,
-    cancellations: u64,
-}
-
-fn run_once(scale: f64) -> RunOutcome {
-    let (mut sys, group) = build_system();
-    let app = cg_b().spmd(64, WaitMode::Yield, scale);
-    SpmdApp::spawn(&mut sys, group, &app, None);
-    let deadline = SimTime::ZERO + SimDuration::from_secs(600);
-    let start = Instant::now();
-    let mut steps: u64 = 0;
-    loop {
-        if sys.group_finished_at(group).is_some() {
-            break;
-        }
-        if sys.now() > deadline || !sys.step() {
-            break;
-        }
-        steps += 1;
-    }
-    RunOutcome {
-        steps,
-        sim_secs: sys.now().as_secs_f64(),
-        wall_ns: start.elapsed().as_nanos(),
-        cancellations: sys.event_cancellations(),
-    }
+    pub sweep: SweepBenchReport,
 }
 
 // ----------------------------------------------------------------------
-// The benchmark matrix (schema v3)
+// The benchmark matrix
 // ----------------------------------------------------------------------
 
 #[derive(Clone, Copy)]
 enum CellMachine {
-    /// 16-core Table 1 flagship (the headline machine).
+    /// 16-core Table 1 flagship.
     Tigerton,
     /// 4 P-cores + 8 E-cores at 0.55× — the asymmetric-speed dispatch path.
     BigLittle4p8e,
@@ -220,7 +119,7 @@ enum CellApp {
     WebServe,
 }
 
-/// One cell of the v3 benchmark matrix.
+/// One cell of the benchmark matrix.
 struct CellSpec {
     name: &'static str,
     traced: bool,
@@ -230,7 +129,7 @@ struct CellSpec {
 }
 
 /// The fixed grid: every regime the simulator treats differently on its
-/// hot path gets at least one cell. Cell 0 is the headline scenario.
+/// hot path gets at least one cell. Cell 0 is the event-rate stress case.
 const MATRIX: &[CellSpec] = &[
     CellSpec {
         name: "cg.B-x64/tigerton/SPEED",
@@ -376,33 +275,22 @@ fn build_cell(spec: &CellSpec, scale: f64) -> (System, GroupId) {
 /// (steps, sim_secs, wall_ns) of one timed cell run.
 fn run_cell_once(spec: &CellSpec, scale: f64) -> (u64, f64, u128) {
     let (mut sys, group) = build_cell(spec, scale);
-    let deadline = SimTime::ZERO + SimDuration::from_secs(600);
     let start = Instant::now();
-    let mut steps: u64 = 0;
-    loop {
-        if sys.group_finished_at(group).is_some() {
-            break;
-        }
-        if sys.now() > deadline || !sys.step() {
-            break;
-        }
-        steps += 1;
-    }
-    (steps, sys.now().as_secs_f64(), start.elapsed().as_nanos())
+    sys.run_until_group_done(group, SimTime::ZERO + SimDuration::from_secs(600));
+    let wall_ns = start.elapsed().as_nanos();
+    (sys.events_processed(), sys.now().as_secs_f64(), wall_ns)
 }
 
-/// Times every matrix cell (best of up to 3 repeats — the cells gate at a
-/// coarse tolerance, so they don't need the headline's repeat count) and
+/// Times every matrix cell at `scale`, best of [`BENCH_REPEATS`], and
 /// reports one [`MatrixCell`] per grid entry. `progress` receives one
 /// line per cell.
-pub fn run_matrix(cfg: &BenchConfig, mut progress: impl FnMut(&str)) -> Vec<MatrixCell> {
-    let reps = cfg.repeats.clamp(1, 3);
+fn run_matrix(scale: f64, mut progress: impl FnMut(&str)) -> Vec<MatrixCell> {
     MATRIX
         .iter()
         .map(|spec| {
             let mut best: Option<(u64, f64, u128)> = None;
-            for _ in 0..reps {
-                let out = run_cell_once(spec, cfg.scale);
+            for _ in 0..BENCH_REPEATS {
+                let out = run_cell_once(spec, scale);
                 if let Some(b) = &best {
                     assert_eq!(b.0, out.0, "nondeterministic matrix cell {}", spec.name);
                 }
@@ -419,8 +307,8 @@ pub fn run_matrix(cfg: &BenchConfig, mut progress: impl FnMut(&str)) -> Vec<Matr
             MatrixCell {
                 name: spec.name.to_string(),
                 traced: spec.traced,
-                scale: cfg.scale,
-                repeats: reps,
+                scale,
+                repeats: BENCH_REPEATS,
                 steps,
                 sim_secs,
                 ns_per_step,
@@ -429,183 +317,15 @@ pub fn run_matrix(cfg: &BenchConfig, mut progress: impl FnMut(&str)) -> Vec<Matr
         .collect()
 }
 
-/// Per-subsystem wall-clock breakdown of the bench scenario, produced by
-/// `speedbal-cli bench --profile`: an instrumented untraced run (phase
-/// times from [`speedbal_sched::System::step_profiled`]) plus a traced run
-/// whose per-step delta estimates the trace-emission cost.
-#[derive(Debug, Clone, Copy)]
-pub struct ProfileReport {
-    pub scale: f64,
-    pub profile: speedbal_sched::StepProfile,
-    /// Wall time of the instrumented untraced run.
-    pub wall_ns: u64,
-    /// Steps and wall time of the instrumented *traced* run (its step count
-    /// differs: tracing arms periodic sampler events).
-    pub traced_steps: u64,
-    pub traced_wall_ns: u64,
-}
-
-fn run_once_profiled(scale: f64, traced: bool) -> (speedbal_sched::StepProfile, u64) {
-    let (mut sys, group) = build_system();
-    if traced {
-        sys.enable_tracing();
-    }
-    let app = cg_b().spmd(64, WaitMode::Yield, scale);
-    SpmdApp::spawn(&mut sys, group, &app, None);
-    let deadline = SimTime::ZERO + SimDuration::from_secs(600);
-    let mut p = speedbal_sched::StepProfile::default();
-    let start = Instant::now();
-    let ticks_start = speedbal_sched::profile_timestamp();
-    loop {
-        if sys.group_finished_at(group).is_some() {
-            break;
-        }
-        if sys.now() > deadline || !sys.step_profiled(&mut p) {
-            break;
-        }
-    }
-    let ticks = speedbal_sched::profile_timestamp() - ticks_start;
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    // Phase times accumulate in raw timestamp units (TSC on x86_64);
-    // calibrate against the wall clock over the whole run.
-    let scale = wall_ns as f64 / ticks.max(1) as f64;
-    let cvt = |t: u64| (t as f64 * scale) as u64;
-    p.pop_ns = cvt(p.pop_ns);
-    p.core_ns = cvt(p.core_ns);
-    p.wake_ns = cvt(p.wake_ns);
-    p.timer_ns = cvt(p.timer_ns);
-    p.other_ns = cvt(p.other_ns);
-    p.post_ns = cvt(p.post_ns);
-    p.balancer_ns = cvt(p.balancer_ns);
-    (p, wall_ns)
-}
-
-/// Runs the bench scenario instrumented (once untraced, once traced) and
-/// reports the per-subsystem breakdown. Phase timers add overhead — the
-/// absolute ns/step here is *higher* than the plain bench; the split, not
-/// the total, is the signal.
-pub fn run_profile(cfg: &BenchConfig) -> ProfileReport {
-    for _ in 0..cfg.warmup {
-        run_once(cfg.scale);
-    }
-    let (profile, wall_ns) = run_once_profiled(cfg.scale, false);
-    let (traced, traced_wall_ns) = run_once_profiled(cfg.scale, true);
-    ProfileReport {
-        scale: cfg.scale,
-        profile,
-        wall_ns,
-        traced_steps: traced.steps,
-        traced_wall_ns,
-    }
-}
-
-impl ProfileReport {
-    /// Human-readable breakdown (one line per subsystem), for stderr.
-    pub fn render(&self) -> String {
-        let p = &self.profile;
-        let steps = p.steps.max(1) as f64;
-        let per = |ns: u64| ns as f64 / steps;
-        let total = self.wall_ns as f64 / steps;
-        let phases = [
-            ("event-queue pop", p.pop_ns),
-            ("core events (desched+dispatch)", p.core_ns),
-            ("timed wakes", p.wake_ns),
-            ("balancer timers", p.timer_ns),
-            ("sampler/freq steps", p.other_ns),
-            ("cond drain + notify flush", p.post_ns),
-        ];
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "profile: {} steps at scale {} (instrumented; split is the signal, not the total)",
-            p.steps, self.scale
-        );
-        let mut accounted = 0u64;
-        for (name, ns) in phases {
-            accounted += ns;
-            let _ = writeln!(
-                s,
-                "  {name:<31} {:>7.1} ns/step  ({:>4.1}%)",
-                per(ns),
-                100.0 * ns as f64 / self.wall_ns.max(1) as f64
-            );
-        }
-        let _ = writeln!(
-            s,
-            "  {:<31} {:>7.1} ns/step",
-            "timer + loop overhead",
-            total - per(accounted)
-        );
-        let _ = writeln!(
-            s,
-            "  of the above, inside balancer hooks: {:.1} ns/step",
-            per(p.balancer_ns)
-        );
-        let traced = self.traced_wall_ns as f64 / self.traced_steps.max(1) as f64;
-        let _ = writeln!(
-            s,
-            "trace emit: traced run {:.1} ns/step over {} steps (untraced {:.1}) => ~{:+.1} ns/step",
-            traced,
-            self.traced_steps,
-            total,
-            traced - total
-        );
-        s
-    }
-}
-
-/// `VmHWM` from `/proc/self/status`, in kB (0 where unavailable).
-pub fn peak_rss_kb() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find(|l| l.starts_with("VmHWM"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Runs the benchmark scenario `cfg.warmup + cfg.repeats` times and
-/// reports the best repeat. `progress` receives one line per timed repeat.
-pub fn run_bench(cfg: &BenchConfig, mut progress: impl FnMut(&str)) -> BenchReport {
-    for _ in 0..cfg.warmup {
-        run_once(cfg.scale);
-    }
-    let mut best: Option<RunOutcome> = None;
-    for r in 0..cfg.repeats.max(1) {
-        let out = run_once(cfg.scale);
-        let ns = out.wall_ns as f64 / out.steps.max(1) as f64;
-        progress(&format!(
-            "repeat {}/{}: {} steps, {:.1} ns/step",
-            r + 1,
-            cfg.repeats.max(1),
-            out.steps,
-            ns
-        ));
-        if let Some(b) = &best {
-            debug_assert_eq!(b.steps, out.steps, "nondeterministic benchmark run");
-        }
-        if best.as_ref().is_none_or(|b| out.wall_ns < b.wall_ns) {
-            best = Some(out);
-        }
-    }
-    let best = best.expect("at least one repeat");
-    let ns_per_step = best.wall_ns as f64 / best.steps.max(1) as f64;
+/// Runs the benchmark: every matrix cell at [`BENCH_SCALE`], best of
+/// [`BENCH_REPEATS`], then the sweep executor's cold and warm pass.
+/// `progress` receives one line per matrix cell.
+pub fn run_bench(progress: impl FnMut(&str)) -> BenchReport {
     BenchReport {
-        scenario: BENCH_SCENARIO.to_string(),
-        scale: cfg.scale,
-        repeats: cfg.repeats.max(1),
-        warmup: cfg.warmup,
-        steps: best.steps,
-        sim_secs: best.sim_secs,
-        ns_per_step,
-        steps_per_sec: 1e9 / ns_per_step,
-        cancellations: best.cancellations,
-        peak_rss_kb: peak_rss_kb(),
-        matrix: Vec::new(),
-        sweep: None,
+        matrix: run_matrix(BENCH_SCALE, progress),
+        // A fifth of the matrix scale: the grid multiplies the work by 12
+        // cells × 2 repeats.
+        sweep: run_sweep_bench(BENCH_SCALE / 5.0),
     }
 }
 
@@ -625,34 +345,34 @@ fn sweep_bench_scenarios(scale: f64) -> Vec<crate::scenario::Scenario> {
     v
 }
 
-/// Benchmarks the sweep executor: a cold pass over a fixed 12-cell scenario grid
-/// (every cell simulated and persisted to a private cache directory) and a
-/// warm pass (every cell answered from the cache). Reports cold-pass
-/// throughput and warm-pass hit count; warm results are asserted
-/// bit-identical to cold ones.
-pub fn run_sweep_bench(cfg: &BenchConfig) -> SweepBenchReport {
+/// Benchmarks the sweep executor over a fixed 12-cell scenario grid at
+/// `scale`: cold passes (every cell simulated and persisted to a private
+/// cache directory), best of [`BENCH_REPEATS`], then a warm pass (every
+/// cell answered from the cache). Reports cold-pass throughput and
+/// warm-pass hit count; warm results are asserted bit-identical to cold
+/// ones.
+fn run_sweep_bench(scale: f64) -> SweepBenchReport {
     use crate::sweep;
-    // A private cache directory guarantees a genuinely cold first pass and
-    // a fully-warm second pass, without touching the user's cache.
+    // A private cache directory guarantees genuinely cold passes and a
+    // fully-warm one, without touching the user's cache.
     let dir = std::env::temp_dir().join(format!("speedbal-sweep-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let prev_enabled = sweep::cache_enabled();
     sweep::set_cache_dir(Some(dir.clone()));
     sweep::set_cache_enabled(true);
 
-    // A fraction of the hot-path bench scale: the grid multiplies the work
-    // by 12 cells × 2 repeats.
-    let scale = (cfg.scale * 0.2).max(0.005);
-    let before = sweep::sweep_stats();
-    let cold = sweep::run_scenarios(sweep_bench_scenarios(scale));
+    // A cold pass takes ~20 ms, short enough for one to read half the
+    // throughput of the next on a quiet host, hence the best of several.
+    let mut cold = Vec::new();
+    let mut cold_secs = f64::INFINITY;
+    for _ in 0..BENCH_REPEATS {
+        let _ = std::fs::remove_dir_all(&dir);
+        let before = sweep::sweep_stats().wall_secs;
+        cold = sweep::run_scenarios(sweep_bench_scenarios(scale));
+        cold_secs = cold_secs.min(sweep::sweep_stats().wall_secs - before);
+    }
     let mid = sweep::sweep_stats();
     let warm = sweep::run_scenarios(sweep_bench_scenarios(scale));
     let warm_hits = sweep::sweep_stats().cache_hits - mid.cache_hits;
-    let cold_stats = sweep::SweepStats {
-        cells: mid.cells - before.cells,
-        wall_secs: mid.wall_secs - before.wall_secs,
-        ..sweep::SweepStats::default()
-    };
 
     sweep::set_cache_enabled(prev_enabled);
     sweep::set_cache_dir(None);
@@ -669,10 +389,11 @@ pub fn run_sweep_bench(cfg: &BenchConfig) -> SweepBenchReport {
         assert_eq!(bits(c), bits(w), "cache replay must be bit-identical");
     }
 
+    let cells = cold.len() as u64;
     SweepBenchReport {
-        cells: cold_stats.cells,
-        wall_secs: cold_stats.wall_secs,
-        cells_per_sec: cold_stats.cells_per_sec(),
+        cells,
+        wall_secs: cold_secs,
+        cells_per_sec: cells as f64 / cold_secs,
         cache_hits: warm_hits,
         jobs: sweep::effective_jobs(),
     }
@@ -681,29 +402,6 @@ pub fn run_sweep_bench(cfg: &BenchConfig) -> SweepBenchReport {
 // ----------------------------------------------------------------------
 // JSON (hand-rolled: the workspace vendors no JSON crate)
 // ----------------------------------------------------------------------
-
-/// Optional pre-optimization baseline preserved verbatim when a report is
-/// written over an existing `BENCH_sim.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Baseline {
-    pub commit: String,
-    pub ns_per_step: f64,
-    pub steps: u64,
-    pub peak_rss_kb: u64,
-}
-
-/// The pre-optimization baseline this PR measured (best of 3 at scale
-/// 1.0, post-and-invalidate event queue + table-scan accounting). Used to
-/// seed the `before` block when `BENCH_sim.json` does not already carry
-/// one; regeneration preserves whatever block the committed file has.
-pub fn recorded_baseline() -> Baseline {
-    Baseline {
-        commit: "b3684ea".to_string(),
-        ns_per_step: 246.5,
-        steps: 1_690_700,
-        peak_rss_kb: 2716,
-    }
-}
 
 fn fmt_f64(v: f64) -> String {
     // Stable, round-trippable formatting: integers stay integral-looking.
@@ -715,219 +413,117 @@ fn fmt_f64(v: f64) -> String {
 }
 
 impl BenchReport {
-    /// Serializes the report (plus an optional preserved `before` block)
-    /// as the `BENCH_sim.json` document.
-    pub fn to_json(&self, before: Option<&Baseline>) -> String {
+    /// Serializes the report as the `BENCH_sim.json` document.
+    pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": \"speedbal-bench-v4\",");
-        let _ = writeln!(s, "  \"scenario\": \"{}\",", self.scenario);
-        if let Some(b) = before {
-            let _ = writeln!(s, "  \"before\": {{");
-            let _ = writeln!(s, "    \"commit\": \"{}\",", b.commit);
-            let _ = writeln!(s, "    \"ns_per_step\": {},", fmt_f64(b.ns_per_step));
-            let _ = writeln!(s, "    \"steps\": {},", b.steps);
-            let _ = writeln!(s, "    \"peak_rss_kb\": {}", b.peak_rss_kb);
-            let _ = writeln!(s, "  }},");
+        let _ = writeln!(s, "  \"schema\": \"speedbal-bench-v5\",");
+        let _ = writeln!(s, "  \"matrix\": [");
+        for (i, c) in self.matrix.iter().enumerate() {
+            let _ = writeln!(s, "    {{");
+            let _ = writeln!(s, "      \"name\": \"{}\",", c.name);
+            let _ = writeln!(s, "      \"traced\": {},", c.traced);
+            let _ = writeln!(s, "      \"scale\": {},", fmt_f64(c.scale));
+            let _ = writeln!(s, "      \"repeats\": {},", c.repeats);
+            let _ = writeln!(s, "      \"steps\": {},", c.steps);
+            let _ = writeln!(s, "      \"sim_secs\": {},", fmt_f64(c.sim_secs));
+            let _ = writeln!(s, "      \"ns_per_step\": {}", fmt_f64(c.ns_per_step));
+            let sep = if i + 1 < self.matrix.len() { "," } else { "" };
+            let _ = writeln!(s, "    }}{sep}");
         }
-        let _ = writeln!(s, "  \"after\": {{");
-        let _ = writeln!(s, "    \"scale\": {},", fmt_f64(self.scale));
-        let _ = writeln!(s, "    \"repeats\": {},", self.repeats);
-        let _ = writeln!(s, "    \"warmup\": {},", self.warmup);
-        let _ = writeln!(s, "    \"steps\": {},", self.steps);
-        let _ = writeln!(s, "    \"sim_secs\": {},", fmt_f64(self.sim_secs));
-        let _ = writeln!(s, "    \"ns_per_step\": {},", fmt_f64(self.ns_per_step));
-        let _ = writeln!(s, "    \"steps_per_sec\": {},", fmt_f64(self.steps_per_sec));
-        let _ = writeln!(s, "    \"cancellations\": {},", self.cancellations);
-        let _ = writeln!(s, "    \"peak_rss_kb\": {}", self.peak_rss_kb);
-        if !self.matrix.is_empty() {
-            let _ = writeln!(s, "  }},");
-            let _ = writeln!(s, "  \"matrix\": [");
-            for (i, c) in self.matrix.iter().enumerate() {
-                let _ = writeln!(s, "    {{");
-                let _ = writeln!(s, "      \"name\": \"{}\",", c.name);
-                let _ = writeln!(s, "      \"traced\": {},", c.traced);
-                let _ = writeln!(s, "      \"scale\": {},", fmt_f64(c.scale));
-                let _ = writeln!(s, "      \"repeats\": {},", c.repeats);
-                let _ = writeln!(s, "      \"steps\": {},", c.steps);
-                let _ = writeln!(s, "      \"sim_secs\": {},", fmt_f64(c.sim_secs));
-                let _ = writeln!(s, "      \"ns_per_step\": {}", fmt_f64(c.ns_per_step));
-                let sep = if i + 1 < self.matrix.len() { "," } else { "" };
-                let _ = writeln!(s, "    }}{sep}");
-            }
-            s.push_str("  ]");
-            let _ = writeln!(s, "{}", if self.sweep.is_some() { "," } else { "" });
-            if self.sweep.is_none() {
-                s.push_str("}\n");
-                return s;
-            }
-        }
-        match &self.sweep {
-            None => {
-                let _ = writeln!(s, "  }}");
-            }
-            Some(sw) => {
-                if self.matrix.is_empty() {
-                    let _ = writeln!(s, "  }},");
-                }
-                let _ = writeln!(s, "  \"sweep\": {{");
-                let _ = writeln!(s, "    \"cells\": {},", sw.cells);
-                let _ = writeln!(s, "    \"wall_secs\": {},", fmt_f64(sw.wall_secs));
-                let _ = writeln!(s, "    \"cells_per_sec\": {},", fmt_f64(sw.cells_per_sec));
-                let _ = writeln!(s, "    \"cache_hits\": {},", sw.cache_hits);
-                let _ = writeln!(s, "    \"jobs\": {}", sw.jobs);
-                let _ = writeln!(s, "  }}");
-            }
-        }
+        let _ = writeln!(s, "  ],");
+        let sw = &self.sweep;
+        let _ = writeln!(s, "  \"sweep\": {{");
+        let _ = writeln!(s, "    \"cells\": {},", sw.cells);
+        let _ = writeln!(s, "    \"wall_secs\": {},", fmt_f64(sw.wall_secs));
+        let _ = writeln!(s, "    \"cells_per_sec\": {},", fmt_f64(sw.cells_per_sec));
+        let _ = writeln!(s, "    \"cache_hits\": {},", sw.cache_hits);
+        let _ = writeln!(s, "    \"jobs\": {}", sw.jobs);
+        let _ = writeln!(s, "  }}");
         s.push_str("}\n");
         s
     }
 }
 
-/// A parsed `BENCH_sim.json` document: the `after` measurements plus the
-/// optional `before` baseline and (schema v2) sweep-throughput section.
-#[derive(Debug, Clone)]
-pub struct BenchDoc {
-    pub before: Option<Baseline>,
-    pub after_ns_per_step: f64,
-    pub after_steps: u64,
-    pub after_scale: f64,
-    /// The committed `matrix` section (schema v3); empty for v1/v2
-    /// documents, which checked the headline scenario only.
-    pub matrix: Vec<MatrixCellDoc>,
-    pub sweep: Option<SweepDoc>,
-}
-
-/// One committed matrix cell of a schema-v3 document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatrixCellDoc {
-    pub name: String,
-    pub traced: bool,
-    pub scale: f64,
-    pub steps: u64,
-    pub ns_per_step: f64,
-}
-
-/// The committed `sweep` section of a schema-v2 document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepDoc {
-    pub cells: u64,
-    pub cells_per_sec: f64,
-    pub cache_hits: u64,
-}
-
-/// Parses the subset of JSON that `BenchReport::to_json` emits (flat
-/// objects of strings and numbers, nested one level).
-pub fn parse_bench_doc(text: &str) -> Result<BenchDoc, String> {
+/// Parses the document [`BenchReport::to_json`] writes (flat objects of
+/// strings and numbers, nested one level). Both `matrix` and `sweep` are
+/// required.
+pub fn parse_bench_doc(text: &str) -> Result<BenchReport, String> {
     let root = json::parse(text)?;
     let obj = root.as_obj().ok_or("top level is not an object")?;
-    let after = json::get(obj, "after")
-        .and_then(|v| v.as_obj())
-        .ok_or("missing \"after\" object")?;
     let num = |o: &[(String, json::Value)], k: &str| -> Result<f64, String> {
         json::get(o, k)
             .and_then(|v| v.as_num())
             .ok_or_else(|| format!("missing numeric \"{k}\""))
     };
-    let before = match json::get(obj, "before").and_then(|v| v.as_obj()) {
-        Some(b) => Some(Baseline {
-            commit: json::get(b, "commit")
-                .and_then(|v| v.as_str())
-                .unwrap_or_default()
-                .to_string(),
-            ns_per_step: num(b, "ns_per_step")?,
-            steps: num(b, "steps")? as u64,
-            peak_rss_kb: num(b, "peak_rss_kb").unwrap_or(0.0) as u64,
-        }),
-        None => None,
-    };
-    let sweep = match json::get(obj, "sweep").and_then(|v| v.as_obj()) {
-        Some(sw) => Some(SweepDoc {
-            cells: num(sw, "cells")? as u64,
-            cells_per_sec: num(sw, "cells_per_sec")?,
-            cache_hits: num(sw, "cache_hits")? as u64,
-        }),
-        None => None,
+    let Some(json::Value::Arr(cells)) = json::get(obj, "matrix") else {
+        return Err("missing \"matrix\" array".into());
     };
     let mut matrix = Vec::new();
-    if let Some(json::Value::Arr(cells)) = json::get(obj, "matrix") {
-        for v in cells {
-            let c = v.as_obj().ok_or("matrix cell is not an object")?;
-            matrix.push(MatrixCellDoc {
-                name: json::get(c, "name")
-                    .and_then(|v| v.as_str())
-                    .ok_or("matrix cell missing \"name\"")?
-                    .to_string(),
-                traced: json::get(c, "traced")
-                    .and_then(|v| v.as_bool())
-                    .unwrap_or(false),
-                scale: num(c, "scale")?,
-                steps: num(c, "steps")? as u64,
-                ns_per_step: num(c, "ns_per_step")?,
-            });
-        }
+    for v in cells {
+        let c = v.as_obj().ok_or("matrix cell is not an object")?;
+        matrix.push(MatrixCell {
+            name: json::get(c, "name")
+                .and_then(|v| v.as_str())
+                .ok_or("matrix cell missing \"name\"")?
+                .to_string(),
+            traced: json::get(c, "traced")
+                .and_then(|v| v.as_bool())
+                .ok_or("matrix cell missing \"traced\"")?,
+            scale: num(c, "scale")?,
+            repeats: num(c, "repeats")? as usize,
+            steps: num(c, "steps")? as u64,
+            sim_secs: num(c, "sim_secs")?,
+            ns_per_step: num(c, "ns_per_step")?,
+        });
     }
-    Ok(BenchDoc {
-        before,
-        after_ns_per_step: num(after, "ns_per_step")?,
-        after_steps: num(after, "steps")? as u64,
-        after_scale: num(after, "scale")?,
-        matrix,
-        sweep,
-    })
+    let sw = json::get(obj, "sweep")
+        .and_then(|v| v.as_obj())
+        .ok_or("missing \"sweep\" object")?;
+    let sweep = SweepBenchReport {
+        cells: num(sw, "cells")? as u64,
+        wall_secs: num(sw, "wall_secs")?,
+        cells_per_sec: num(sw, "cells_per_sec")?,
+        cache_hits: num(sw, "cache_hits")? as u64,
+        jobs: num(sw, "jobs")? as usize,
+    };
+    Ok(BenchReport { matrix, sweep })
 }
 
-/// Compares a fresh run against the committed document. Fails when the
-/// fresh ns/step exceeds `tolerance` × the committed value, or — when the
-/// scales match, making the schedules identical — when the deterministic
-/// step count diverges.
+/// Compares a fresh run against the committed document. Every committed
+/// matrix cell must be in the fresh run at the same scale with exactly
+/// its committed step count, and within `tolerance` × its committed
+/// ns/step; paired traced cells must stay under the overhead ceiling;
+/// the warm sweep pass must hit every cell, and sweep throughput must
+/// stay within `tolerance` of the committed value. Failures name the
+/// cell.
 pub fn check_against(
     fresh: &BenchReport,
-    committed: &BenchDoc,
+    committed: &BenchReport,
     tolerance: f64,
 ) -> Result<String, String> {
-    if fresh.scale == committed.after_scale && fresh.steps != committed.after_steps {
-        return Err(format!(
-            "step count diverged from committed baseline: {} != {} \
-             (same scale {} must replay the identical schedule)",
-            fresh.steps, committed.after_steps, fresh.scale
-        ));
-    }
-    let limit = committed.after_ns_per_step * tolerance;
-    if fresh.ns_per_step > limit {
-        return Err(format!(
-            "perf regression: {:.1} ns/step > {:.1} allowed \
-             (committed {:.1} × tolerance {tolerance})",
-            fresh.ns_per_step, limit, committed.after_ns_per_step
-        ));
-    }
-    // Per-cell matrix gating (schema v3): every committed cell must be
-    // present in the fresh run, replay the identical schedule at the same
-    // scale, and stay within tolerance — failures name the cell.
-    if !committed.matrix.is_empty() && !fresh.matrix.is_empty() {
-        for cell in &committed.matrix {
-            let Some(f) = fresh.matrix.iter().find(|f| f.name == cell.name) else {
-                return Err(format!(
-                    "matrix cell \"{}\" missing from the fresh run",
-                    cell.name
-                ));
-            };
-            if f.scale == cell.scale && f.steps != cell.steps {
-                return Err(format!(
-                    "matrix cell \"{}\": step count diverged from committed \
-                     baseline: {} != {} (same scale {} must replay the \
-                     identical schedule)",
-                    cell.name, f.steps, cell.steps, cell.scale
-                ));
-            }
-            let cell_limit = cell.ns_per_step * tolerance;
-            if f.ns_per_step > cell_limit {
-                return Err(format!(
-                    "matrix cell \"{}\": perf regression: {:.1} ns/step > \
-                     {:.1} allowed (committed {:.1} × tolerance {tolerance})",
-                    cell.name, f.ns_per_step, cell_limit, cell.ns_per_step
-                ));
-            }
+    for cell in &committed.matrix {
+        let Some(f) = fresh.matrix.iter().find(|f| f.name == cell.name) else {
+            return Err(format!(
+                "matrix cell \"{}\" missing from the fresh run",
+                cell.name
+            ));
+        };
+        if f.scale != cell.scale || f.steps != cell.steps {
+            return Err(format!(
+                "matrix cell \"{}\": step count diverged from committed \
+                 baseline: {} steps at scale {} != {} steps at scale {} \
+                 (the bench must replay the identical schedule)",
+                cell.name, f.steps, f.scale, cell.steps, cell.scale
+            ));
+        }
+        let cell_limit = cell.ns_per_step * tolerance;
+        if f.ns_per_step > cell_limit {
+            return Err(format!(
+                "matrix cell \"{}\": perf regression: {:.1} ns/step > \
+                 {:.1} allowed (committed {:.1} × tolerance {tolerance})",
+                cell.name, f.ns_per_step, cell_limit, cell.ns_per_step
+            ));
         }
     }
     // Tracing overhead gate: every traced cell in the fresh run is paired
@@ -942,7 +538,7 @@ pub fn check_against(
             continue;
         }
         let base = f.name.strip_suffix("+trace").unwrap_or(&f.name);
-        let pair = |m: &[MatrixCellDoc]| -> Option<f64> {
+        let pair = |m: &[MatrixCell]| -> Option<f64> {
             let t = m.iter().find(|p| p.traced && p.name == f.name)?;
             let u = m.iter().find(|p| !p.traced && p.name == base)?;
             Some(t.ns_per_step / u.ns_per_step)
@@ -961,30 +557,28 @@ pub fn check_against(
             ));
         }
     }
-    // The sweep section gates only when both sides carry one (v1 documents
-    // and bench runs without the sweep pass stay comparable).
-    if let (Some(fresh_sw), Some(committed_sw)) = (&fresh.sweep, &committed.sweep) {
-        if fresh_sw.cache_hits != fresh_sw.cells {
-            return Err(format!(
-                "sweep cache broken: warm pass hit {} of {} cells",
-                fresh_sw.cache_hits, fresh_sw.cells
-            ));
-        }
-        let floor = committed_sw.cells_per_sec / tolerance;
-        if fresh_sw.cells_per_sec < floor {
-            return Err(format!(
-                "sweep throughput regression: {:.1} cells/sec < {:.1} allowed \
-                 (committed {:.1} ÷ tolerance {tolerance})",
-                fresh_sw.cells_per_sec, floor, committed_sw.cells_per_sec
-            ));
-        }
+    let (fresh_sw, committed_sw) = (&fresh.sweep, &committed.sweep);
+    if fresh_sw.cache_hits != fresh_sw.cells {
+        return Err(format!(
+            "sweep cache broken: warm pass hit {} of {} cells",
+            fresh_sw.cache_hits, fresh_sw.cells
+        ));
+    }
+    let floor = committed_sw.cells_per_sec / tolerance;
+    if fresh_sw.cells_per_sec < floor {
+        return Err(format!(
+            "sweep throughput regression: {:.1} cells/sec < {:.1} allowed \
+             (committed {:.1} ÷ tolerance {tolerance})",
+            fresh_sw.cells_per_sec, floor, committed_sw.cells_per_sec
+        ));
     }
     Ok(format!(
-        "ok: {:.1} ns/step within {tolerance}x of committed {:.1} \
-         ({} matrix cells checked)",
-        fresh.ns_per_step,
-        committed.after_ns_per_step,
-        committed.matrix.len().min(fresh.matrix.len())
+        "ok: {} matrix cells at their committed step counts and within \
+         {tolerance}x of committed ns/step; sweep {:.1} cells/sec, warm \
+         pass hit all {} cells",
+        committed.matrix.len(),
+        fresh_sw.cells_per_sec,
+        fresh_sw.cells
     ))
 }
 
@@ -1200,91 +794,55 @@ pub mod json {
 mod tests {
     use super::*;
 
-    fn report() -> BenchReport {
-        BenchReport {
-            scenario: BENCH_SCENARIO.to_string(),
-            scale: 1.0,
-            repeats: 5,
-            warmup: 1,
-            steps: 1_659_542,
-            sim_secs: 5.815,
-            ns_per_step: 120.5,
-            steps_per_sec: 1e9 / 120.5,
-            cancellations: 31_173,
-            peak_rss_kb: 2900,
-            matrix: Vec::new(),
-            sweep: None,
-        }
-    }
-
     fn cell(name: &str, ns: f64) -> MatrixCell {
         MatrixCell {
             name: name.to_string(),
             traced: false,
-            scale: 1.0,
-            repeats: 3,
+            scale: BENCH_SCALE,
+            repeats: BENCH_REPEATS,
             steps: 100_000,
             sim_secs: 1.0,
             ns_per_step: ns,
         }
     }
 
-    #[test]
-    fn json_roundtrip_with_before_block() {
-        let before = Baseline {
-            commit: "b3684ea".into(),
-            ns_per_step: 246.5,
-            steps: 1_690_700,
-            peak_rss_kb: 2716,
-        };
-        let text = report().to_json(Some(&before));
-        let doc = parse_bench_doc(&text).unwrap();
-        assert_eq!(doc.before, Some(before));
-        assert_eq!(doc.after_steps, 1_659_542);
-        assert!((doc.after_ns_per_step - 120.5).abs() < 1e-9);
-        assert!((doc.after_scale - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn json_roundtrip_without_before_block() {
-        let text = report().to_json(None);
-        let doc = parse_bench_doc(&text).unwrap();
-        assert!(doc.before.is_none());
-        assert_eq!(doc.after_steps, 1_659_542);
-    }
-
-    #[test]
-    fn matrix_roundtrips_and_fails_with_named_cell() {
-        let mut fresh = report();
-        fresh.matrix = vec![
-            cell("cg.B-x64/tigerton/SPEED", 90.0),
-            cell("ep-x8/tigerton/LOAD", 40.0),
-        ];
-        fresh.matrix[0].traced = false;
-
-        // Round-trip: both cells parse back with their fields intact, with
-        // and without a trailing sweep section.
-        for with_sweep in [false, true] {
-            let mut r = fresh.clone();
-            if with_sweep {
-                r.sweep = Some(SweepBenchReport {
-                    cells: 12,
-                    wall_secs: 0.5,
-                    cells_per_sec: 24.0,
-                    cache_hits: 12,
-                    jobs: 4,
-                });
-            }
-            let doc = parse_bench_doc(&r.to_json(None)).unwrap();
-            assert_eq!(doc.matrix.len(), 2, "with_sweep={with_sweep}");
-            assert_eq!(doc.matrix[0].name, "cg.B-x64/tigerton/SPEED");
-            assert_eq!(doc.matrix[1].steps, 100_000);
-            assert!((doc.matrix[1].ns_per_step - 40.0).abs() < 1e-9);
-            assert_eq!(doc.sweep.is_some(), with_sweep);
+    fn report() -> BenchReport {
+        BenchReport {
+            matrix: vec![
+                cell("cg.B-x64/tigerton/SPEED", 90.0),
+                cell("ep-x8/tigerton/LOAD", 40.0),
+            ],
+            sweep: SweepBenchReport {
+                cells: 12,
+                wall_secs: 0.5,
+                cells_per_sec: 24.0,
+                cache_hits: 12,
+                jobs: 4,
+            },
         }
+    }
 
-        let doc = parse_bench_doc(&fresh.to_json(None)).unwrap();
+    #[test]
+    fn json_roundtrips_every_field() {
+        let mut r = report();
+        r.matrix[1].traced = true;
+        r.matrix[1].sim_secs = 5.814538792;
+        r.matrix[1].ns_per_step = 89.33678990950516;
+        let text = r.to_json();
+        assert!(text.contains("speedbal-bench-v5"));
+        assert_eq!(parse_bench_doc(&text).unwrap(), r);
+    }
+
+    #[test]
+    fn matrix_gate_fails_with_named_cell() {
+        let fresh = report();
+        let doc = parse_bench_doc(&fresh.to_json()).unwrap();
         assert!(check_against(&fresh, &doc, 2.0).is_ok());
+
+        // Within tolerance: fine.
+        let mut noisy = fresh.clone();
+        noisy.matrix[1].ns_per_step = 40.0 * 1.9;
+        assert!(check_against(&noisy, &doc, 2.0).is_ok());
 
         // One cell regresses beyond tolerance: the error names it.
         let mut slow = fresh.clone();
@@ -1292,12 +850,20 @@ mod tests {
         let err = check_against(&slow, &doc, 2.0).unwrap_err();
         assert!(err.contains("ep-x8/tigerton/LOAD"), "{err}");
 
-        // A cell's deterministic step count diverging at the same scale is
-        // a correctness failure, not noise.
+        // A cell's deterministic step count diverging is a correctness
+        // failure, not noise.
         let mut diverged = fresh.clone();
         diverged.matrix[0].steps += 1;
         let err = check_against(&diverged, &doc, 2.0).unwrap_err();
         assert!(err.contains("cg.B-x64/tigerton/SPEED"), "{err}");
+        assert!(err.contains("diverged"), "{err}");
+
+        // So is a committed cell captured at another scale: the bench runs
+        // one size, and its step counts are compared exactly.
+        let mut rescaled = doc.clone();
+        rescaled.matrix[1].scale = 1.0;
+        let err = check_against(&fresh, &rescaled, 2.0).unwrap_err();
+        assert!(err.contains("ep-x8/tigerton/LOAD"), "{err}");
         assert!(err.contains("diverged"), "{err}");
 
         // A committed cell missing from the fresh run is flagged by name.
@@ -1306,61 +872,43 @@ mod tests {
         let err = check_against(&missing, &doc, 2.0).unwrap_err();
         assert!(err.contains("ep-x8/tigerton/LOAD"), "{err}");
         assert!(err.contains("missing"), "{err}");
-
-        // v2 documents (no matrix) still check cleanly against v3 runs.
-        let v2 = parse_bench_doc(&report().to_json(None)).unwrap();
-        assert!(v2.matrix.is_empty());
-        assert!(check_against(&fresh, &v2, 2.0).is_ok());
     }
 
     /// The real grid runs deterministically end to end (tiny scale): two
-    /// passes produce identical step counts for every cell, the grid has
-    /// the v3 minimum of 9 cells, and the headline cell replays the exact
-    /// headline-scenario schedule.
+    /// passes produce identical step counts for every cell.
     #[test]
     fn matrix_cells_run_deterministically() {
-        let cfg = BenchConfig {
-            scale: 0.02,
-            repeats: 1,
-            warmup: 0,
-        };
-        let a = run_matrix(&cfg, |_| {});
-        let b = run_matrix(&cfg, |_| {});
+        let a = run_matrix(0.02, |_| {});
+        let b = run_matrix(0.02, |_| {});
         assert!(a.len() >= 9, "matrix must span at least 9 cells");
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name, y.name);
             assert_eq!(x.steps, y.steps, "cell {} not deterministic", x.name);
             assert!(x.steps > 100, "cell {} does no real work", x.name);
         }
-        // Cell 0 is the headline scenario measured by run_bench.
-        let headline = run_bench(&cfg, |_| {});
-        assert_eq!(a[0].steps, headline.steps);
     }
 
+    /// The committed `BENCH_sim.json` is a capture of this matrix at the
+    /// bench's scale, so `bench --check` compares every step count; the
+    /// cells under a million steps replay theirs here.
     #[test]
-    fn check_passes_within_tolerance_and_fails_beyond() {
-        let fresh = report();
-        let text = report().to_json(None);
-        let doc = parse_bench_doc(&text).unwrap();
-        assert!(check_against(&fresh, &doc, 2.0).is_ok());
-
-        let mut slow = report();
-        slow.ns_per_step = doc.after_ns_per_step * 2.5;
-        assert!(check_against(&slow, &doc, 2.0).is_err());
-    }
-
-    #[test]
-    fn check_fails_on_step_divergence_at_same_scale() {
-        let text = report().to_json(None);
-        let doc = parse_bench_doc(&text).unwrap();
-        let mut fresh = report();
-        fresh.steps += 1;
-        let err = check_against(&fresh, &doc, 2.0).unwrap_err();
-        assert!(err.contains("diverged"), "{err}");
-
-        // Different scale ⇒ different schedule; only perf is compared.
-        fresh.scale = 0.25;
-        assert!(check_against(&fresh, &doc, 2.0).is_ok());
+    fn committed_bench_document_is_this_matrix_and_its_steps_replay() {
+        let doc = parse_bench_doc(include_str!("../../../BENCH_sim.json")).unwrap();
+        let names: Vec<&str> = doc.matrix.iter().map(|c| c.name.as_str()).collect();
+        let specs: Vec<&str> = MATRIX.iter().map(|s| s.name).collect();
+        assert_eq!(names, specs, "committed cells are not the matrix");
+        for (cell, spec) in doc.matrix.iter().zip(MATRIX) {
+            assert_eq!(
+                cell.scale, BENCH_SCALE,
+                "{} committed at another scale",
+                spec.name
+            );
+            assert_eq!(cell.traced, spec.traced, "{}", spec.name);
+            if cell.steps < 1_000_000 {
+                let (steps, _, _) = run_cell_once(spec, BENCH_SCALE);
+                assert_eq!(steps, cell.steps, "{} replays another schedule", spec.name);
+            }
+        }
     }
 
     #[test]
@@ -1374,7 +922,7 @@ mod tests {
             ),
         ];
         fresh.matrix[1].traced = true;
-        let doc = parse_bench_doc(&fresh.to_json(None)).unwrap();
+        let doc = parse_bench_doc(&fresh.to_json()).unwrap();
         assert!(check_against(&fresh, &doc, 2.0).is_ok());
 
         // Traced cell blowing past the ratio ceiling fails even though it
@@ -1390,7 +938,7 @@ mod tests {
         // keep passing against themselves…
         let mut hot = fresh.clone();
         hot.matrix[1].ns_per_step = 90.0 * TRACE_OVERHEAD_LIMIT * 1.12;
-        let hot_doc = parse_bench_doc(&hot.to_json(None)).unwrap();
+        let hot_doc = parse_bench_doc(&hot.to_json()).unwrap();
         assert!(check_against(&hot, &hot_doc, 2.0).is_ok());
         // …while a real regression beyond that ceiling still fails.
         let mut worse = hot.clone();
@@ -1402,57 +950,35 @@ mod tests {
         let mut orphan = fresh.clone();
         orphan.matrix.remove(0);
         orphan.matrix[0].ns_per_step = 1e6;
-        let orphan_doc = parse_bench_doc(&orphan.to_json(None)).unwrap();
+        let orphan_doc = parse_bench_doc(&orphan.to_json()).unwrap();
         assert!(check_against(&orphan, &orphan_doc, 2.0).is_ok());
     }
 
     #[test]
-    fn sweep_section_roundtrips_and_gates() {
-        let mut fresh = report();
-        fresh.sweep = Some(SweepBenchReport {
-            cells: 12,
-            wall_secs: 0.5,
-            cells_per_sec: 24.0,
-            cache_hits: 12,
-            jobs: 4,
-        });
-        let text = fresh.to_json(None);
-        assert!(text.contains("speedbal-bench-v4"));
-        let doc = parse_bench_doc(&text).unwrap();
-        let sw = doc.sweep.clone().expect("sweep section must parse");
-        assert_eq!(sw.cells, 12);
-        assert_eq!(sw.cache_hits, 12);
-        assert!((sw.cells_per_sec - 24.0).abs() < 1e-9);
+    fn sweep_section_gates() {
+        let fresh = report();
+        let doc = parse_bench_doc(&fresh.to_json()).unwrap();
 
         // Within tolerance: fine.
         assert!(check_against(&fresh, &doc, 2.0).is_ok());
 
         // Throughput collapse beyond tolerance: gated.
         let mut slow = fresh.clone();
-        slow.sweep.as_mut().unwrap().cells_per_sec = 24.0 / 2.5;
+        slow.sweep.cells_per_sec = 24.0 / 2.5;
         let err = check_against(&slow, &doc, 2.0).unwrap_err();
         assert!(err.contains("sweep throughput"), "{err}");
 
         // A warm pass that misses the cache is a correctness failure.
         let mut cold = fresh.clone();
-        cold.sweep.as_mut().unwrap().cache_hits = 3;
+        cold.sweep.cache_hits = 3;
         let err = check_against(&cold, &doc, 2.0).unwrap_err();
         assert!(err.contains("cache broken"), "{err}");
-
-        // v1 documents (no sweep section) still check cleanly.
-        let v1 = parse_bench_doc(&report().to_json(None)).unwrap();
-        assert!(v1.sweep.is_none());
-        assert!(check_against(&fresh, &v1, 2.0).is_ok());
     }
 
     #[test]
     fn sweep_bench_runs_cold_then_fully_warm() {
         let _g = crate::sweep::tests::global_guard();
-        let sw = run_sweep_bench(&BenchConfig {
-            scale: 0.05,
-            repeats: 1,
-            warmup: 0,
-        });
+        let sw = run_sweep_bench(0.01);
         assert_eq!(sw.cells, 12);
         assert_eq!(
             sw.cache_hits, sw.cells,
@@ -1465,26 +991,17 @@ mod tests {
     #[test]
     fn parser_rejects_garbage() {
         assert!(parse_bench_doc("").is_err());
-        assert!(parse_bench_doc("{\"after\": }").is_err());
+        assert!(parse_bench_doc("{\"matrix\": }").is_err());
         assert!(parse_bench_doc("{} trailing").is_err());
-        assert!(parse_bench_doc("{\"x\": 1}").is_err(), "missing after");
-    }
-
-    /// The quick benchmark really runs the deterministic scenario (tiny
-    /// scale to keep the test fast) and produces internally consistent
-    /// numbers.
-    #[test]
-    fn quick_bench_runs_deterministically() {
-        let cfg = BenchConfig {
-            scale: 0.02,
-            repeats: 2,
-            warmup: 0,
-        };
-        let a = run_bench(&cfg, |_| {});
-        let b = run_bench(&cfg, |_| {});
-        assert_eq!(a.steps, b.steps, "same seed+scale must replay identically");
-        assert!(a.steps > 10_000, "scenario should do real work");
-        assert!(a.ns_per_step > 0.0);
-        assert_eq!(a.cancellations, b.cancellations);
+        // Both sections are required.
+        let text = report().to_json();
+        let matrix_at = text.find("  \"matrix\"").unwrap();
+        let sweep_at = text.find("  \"sweep\"").unwrap();
+        let no_matrix = format!("{}{}", &text[..matrix_at], &text[sweep_at..]);
+        let err = parse_bench_doc(&no_matrix).unwrap_err();
+        assert!(err.contains("matrix"), "{err}");
+        let no_sweep = format!("{}  ]\n}}\n", &text[..text.find("  ],").unwrap()]);
+        let err = parse_bench_doc(&no_sweep).unwrap_err();
+        assert!(err.contains("sweep"), "{err}");
     }
 }

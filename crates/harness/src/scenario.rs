@@ -17,7 +17,7 @@ use speedbal_sched::{Balancer, GroupId, SchedConfig, SpawnSpec, System};
 use speedbal_sim::{OrderingPolicy, SimDuration, SimTime};
 use speedbal_trace::{export_chrome_to, TraceBuffer, TraceConfig};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Which machine model to run on (Table 1 presets plus generics).
@@ -566,45 +566,12 @@ pub(crate) fn assemble_outcomes(
     )
 }
 
-/// The parallel repeat driver. Workers pull repeat indices from a shared
-/// counter and write into per-repeat slots, so output order never depends
-/// on thread scheduling. The pool is capped by the global `--jobs` /
-/// `SPEEDBAL_JOBS` budget, and runs single-threaded inside a sweep worker
-/// (the sweep executor already owns the machine's parallelism; nesting a
-/// per-cell repeat pool underneath it would oversubscribe every core).
+/// Runs a scenario's repeats in parallel: one
+/// [`run_pool`](crate::sweep::run_pool) job per repeat, so repeats run on
+/// up to `--jobs` threads, inline inside a sweep worker, and come back in
+/// repeat order.
 pub(crate) fn run_repeats(s: &Scenario, traced: bool) -> Vec<RepeatOutcome> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(crate::sweep::repeat_pool_cap())
-        .min(s.repeats)
-        .max(1);
-    if workers == 1 {
-        return (0..s.repeats).map(|r| run_repeat(s, r, traced)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<RepeatOutcome>>> =
-        (0..s.repeats).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let r = next.fetch_add(1, Ordering::Relaxed);
-                if r >= s.repeats {
-                    break;
-                }
-                let outcome = run_repeat(s, r, traced);
-                *slots[r].lock().unwrap() = Some(outcome);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every repeat slot filled by a worker")
-        })
-        .collect()
+    crate::sweep::run_pool(&vec![1; s.repeats], |r| run_repeat(s, r, traced))
 }
 
 // ---------------------------------------------------------------------

@@ -43,10 +43,9 @@
 //! no worker and never scans the cache directory.
 //!
 //! The worker count comes from `--jobs N` / `SPEEDBAL_JOBS` / available
-//! parallelism, in that precedence, and the same budget caps the
-//! per-scenario repeat pool in [`crate::scenario`]: inside a sweep worker
-//! the repeat pool runs single-threaded, so nested parallelism cannot
-//! oversubscribe the machine.
+//! parallelism, in that precedence. The per-scenario repeat pool in
+//! [`crate::scenario`] is the same pool: inside a sweep worker it runs
+//! inline, so nested parallelism cannot oversubscribe the machine.
 
 use crate::scenario::{
     assemble_outcomes, next_trace_seq, run_repeat, run_repeats, trace_output_base,
@@ -135,16 +134,6 @@ pub fn effective_jobs() -> usize {
 /// True while the current thread is a sweep worker executing a job.
 pub fn in_sweep_worker() -> bool {
     IN_SWEEP_WORKER.with(|f| f.get())
-}
-
-/// The repeat-pool budget for `run_scenario`: single-threaded inside a
-/// sweep worker, the global jobs budget otherwise.
-pub(crate) fn repeat_pool_cap() -> usize {
-    if in_sweep_worker() {
-        1
-    } else {
-        effective_jobs()
-    }
 }
 
 /// Turns the result cache on or off (off by default; `speedbal-cli`
@@ -295,13 +284,17 @@ pub fn run_sweep<T: Send>(jobs: Vec<SweepJob<T>>) -> Vec<T> {
 /// Runs `job(i)` for every `i < costs.len()` on up to [`effective_jobs`]
 /// scoped workers, pulling the largest `costs[i]` first (ties in index
 /// order; only wall clock depends on this), and returns the results in
-/// index order.
-fn run_pool<T: Send>(costs: &[u64], job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+/// index order. Inside a sweep worker it runs inline: the outer pool
+/// already owns the machine's parallelism, and a nested pool would
+/// oversubscribe every core.
+pub(crate) fn run_pool<T: Send>(costs: &[u64], job: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let n = costs.len();
-    let workers = effective_jobs().min(n);
+    let workers = if in_sweep_worker() {
+        1
+    } else {
+        effective_jobs().min(n)
+    };
     if workers <= 1 {
-        // Inline on the caller's thread, which keeps its parallel repeat
-        // pool (see `repeat_pool_cap`).
         return (0..n).map(job).collect();
     }
     let mut order: Vec<usize> = (0..n).collect();
@@ -1037,17 +1030,29 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn workers_see_the_in_sweep_flag_and_repeat_cap() {
+    fn run_pool_in_a_sweep_job_stays_on_the_worker_thread() {
         let _g = global_guard();
         assert!(!in_sweep_worker(), "caller thread is not a worker");
         set_jobs(Some(4));
-        let jobs: Vec<SweepJob<(bool, usize)>> = (0..8)
-            .map(|_| SweepJob::new(1, || (in_sweep_worker(), repeat_pool_cap())))
+        let here = || std::thread::current().id();
+        let jobs: Vec<SweepJob<bool>> = (0..4)
+            .map(|_| {
+                SweepJob::new(1, move || {
+                    let worker = here();
+                    in_sweep_worker() && run_pool(&[1; 3], |_| here()).iter().all(|&t| t == worker)
+                })
+            })
             .collect();
-        let out = run_sweep(jobs);
-        assert!(out.iter().all(|&(flag, cap)| flag && cap == 1));
-        // Outside a worker the cap is the jobs budget.
-        assert_eq!(repeat_pool_cap(), 4);
+        assert!(
+            run_sweep(jobs).into_iter().all(|inline| inline),
+            "a pool inside a sweep job runs on that job's worker"
+        );
+        // Outside a worker the jobs fan out over the pool's threads.
+        let caller = here();
+        assert!(
+            run_pool(&[1; 3], |_| here()).iter().all(|&t| t != caller),
+            "the caller ran a job itself"
+        );
         set_jobs(None);
     }
 

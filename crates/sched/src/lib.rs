@@ -33,7 +33,7 @@ pub use balancer::{Balancer, NullBalancer};
 pub use cond::CondId;
 pub use config::SchedConfig;
 pub use program::{Directive, FnProgram, Program, ProgramCtx, ScriptProgram};
-pub use system::{profile_timestamp, GroupId, MigrationRecord, SpawnSpec, StepProfile, System};
+pub use system::{GroupId, MigrationRecord, SpawnSpec, System};
 pub use task::{TaskId, TaskState};
 
 // Re-exported so balancers and apps can name trace types without adding a

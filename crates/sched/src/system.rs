@@ -262,61 +262,6 @@ pub struct System {
     /// Installed frequency schedule plus the per-core current-ratio cache
     /// (`None` = homogeneous clocks; every hot-path read is one branch).
     freq: Option<Box<FreqState>>,
-    /// When true (only inside [`System::step_profiled`]), `with_balancer`
-    /// accumulates hook wall time into `balancer_ns`.
-    profile_balancer: bool,
-    balancer_ns: u64,
-}
-
-/// Wall-clock breakdown of the event loop accumulated by
-/// [`System::step_profiled`]. All times are in [`profile_timestamp`]
-/// units — the raw TSC on x86_64 (cheap enough to stamp four times per
-/// step without drowning the signal), `Instant` nanoseconds elsewhere.
-/// Consumers calibrate against wall clock over the whole run to convert
-/// to nanoseconds. `balancer_ns` is a *subset* of the gross phase times
-/// (the slices of handler and post-step work spent inside balancer
-/// hooks), so the phases alone sum to the measured total.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StepProfile {
-    /// Steps accumulated into this profile.
-    pub steps: u64,
-    /// Event-queue pop (wheel service: batch refills, cascades).
-    pub pop_ns: u64,
-    /// Core-event handling: deschedule accounting, program transitions,
-    /// dispatch and boundary re-arm.
-    pub core_ns: u64,
-    /// Timed-wake handling (wake placement and enqueue).
-    pub wake_ns: u64,
-    /// Balancer-timer handling (gross; the hook itself is in
-    /// `balancer_ns`).
-    pub timer_ns: u64,
-    /// Trace-sampler and frequency-step handling.
-    pub other_ns: u64,
-    /// Post-step condition drain plus balancer-notification flush.
-    pub post_ns: u64,
-    /// Time inside balancer hooks, wherever they fired (subset).
-    pub balancer_ns: u64,
-}
-
-/// Raw timestamp for [`StepProfile`] phase attribution: the TSC on
-/// x86_64 (a few ns per read, versus ~25 for `Instant::now`, which would
-/// distort a sub-100ns hot path beyond recognition), `Instant`
-/// nanoseconds elsewhere. Monotonic enough for deltas on any machine new
-/// enough to run the simulator (constant_tsc).
-#[inline]
-pub fn profile_timestamp() -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: RDTSC is unprivileged and has no memory effects.
-    unsafe {
-        core::arch::x86_64::_rdtsc()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        use std::sync::OnceLock;
-        use std::time::Instant;
-        static START: OnceLock<Instant> = OnceLock::new();
-        START.get_or_init(Instant::now).elapsed().as_nanos() as u64
-    }
 }
 
 /// Memo for [`System::bandwidth_factor`]: the last computed factor and
@@ -397,8 +342,6 @@ impl System {
             sampler_busy: Vec::new(),
             check: None,
             freq: None,
-            profile_balancer: false,
-            balancer_ns: 0,
         };
         if cfg!(feature = "strict-invariants") || invariants::env_enabled() {
             sys.enable_invariant_checks();
@@ -763,11 +706,6 @@ impl System {
         self.events_processed
     }
 
-    /// Slot cancellations performed by the event queue so far.
-    pub fn event_cancellations(&self) -> u64 {
-        self.events.cancellations()
-    }
-
     /// Total CPU-busy time accumulated by a core (excludes the in-flight
     /// stretch).
     pub fn core_busy_time(&self, core: CoreId) -> SimDuration {
@@ -1112,68 +1050,6 @@ impl System {
         true
     }
 
-    /// [`System::step`] with a wall-clock breakdown: times the event-queue
-    /// pop, the handler (split by event kind), and the post-step
-    /// drain/flush, accumulating into `p`. Time spent inside balancer hooks
-    /// (placement, idle pulls, timers, deschedule/exit notifications) is
-    /// additionally collected into `p.balancer_ns` — a subset of the gross
-    /// phase times, not an extra phase. Drives `speedbal-cli bench
-    /// --profile`; the unprofiled [`System::step`] stays branch-free.
-    pub fn step_profiled(&mut self, p: &mut StepProfile) -> bool {
-        let t0 = profile_timestamp();
-        let Some(ev) = self.events.pop() else {
-            return false;
-        };
-        let t1 = profile_timestamp();
-        self.events_processed += 1;
-        assert!(
-            self.events_processed < self.cfg.max_events,
-            "event budget exhausted at {} — runaway simulation?",
-            self.now()
-        );
-        self.profile_balancer = true;
-        self.balancer_ns = 0;
-        match ev.event {
-            Ev::Core { core } => self.advance_core(core, ev.time),
-            Ev::Wake { task, gen } => {
-                if let Activity::Sleeping { gen: g, .. } = self.tasks.activity[task.0] {
-                    if g == gen && self.tasks.state[task.0] == TaskState::Blocked {
-                        self.wake_task(task);
-                    }
-                }
-            }
-            Ev::BalancerTimer { key } => {
-                self.with_balancer(|bal, sys| bal.on_timer(sys, key));
-            }
-            Ev::TraceSample => self.handle_trace_sample(ev.time),
-            Ev::FreqStep { core } => self.handle_freq_step(core, ev.time),
-        }
-        let t2 = profile_timestamp();
-        self.drain_conds();
-        self.flush_balancer_notifications();
-        let t3 = profile_timestamp();
-        self.profile_balancer = false;
-        if self.check.is_some() {
-            let point = match ev.event {
-                Ev::BalancerTimer { .. } => "post-balance-tick",
-                _ => "post-step",
-            };
-            self.invariant_tick(point);
-        }
-        p.steps += 1;
-        p.pop_ns += t1 - t0;
-        let handler = t2 - t1;
-        match ev.event {
-            Ev::Core { .. } => p.core_ns += handler,
-            Ev::Wake { .. } => p.wake_ns += handler,
-            Ev::BalancerTimer { .. } => p.timer_ns += handler,
-            Ev::TraceSample | Ev::FreqStep { .. } => p.other_ns += handler,
-        }
-        p.post_ns += t3 - t2;
-        p.balancer_ns += self.balancer_ns;
-        true
-    }
-
     /// Runs until the event queue is exhausted (all tasks exited and all
     /// timers drained). Returns the final time.
     pub fn run_to_quiescence(&mut self) -> SimTime {
@@ -1218,13 +1094,6 @@ impl System {
         f: impl FnOnce(&mut Box<dyn Balancer>, &mut System) -> R,
     ) -> Option<R> {
         let mut bal = self.balancer.take()?;
-        if self.profile_balancer {
-            let t = profile_timestamp();
-            let r = f(&mut bal, self);
-            self.balancer_ns += profile_timestamp() - t;
-            self.balancer = Some(bal);
-            return Some(r);
-        }
         let r = f(&mut bal, self);
         self.balancer = Some(bal);
         Some(r)
