@@ -256,10 +256,11 @@ pub fn run_full_check(quick: bool) -> CheckReport {
 
     // Each fuzz case is independent; fan seeds × delta profiles out on
     // the sweep executor (results return in deterministic order, so the
-    // failure list is stable). The biased profiles aim at the timing
-    // wheel's edges: bucket rollovers, the far-future overflow list,
-    // cancel-heavy slot traffic, and merges below the wheel cursor; and
-    // at the lane tree: same-instant slot ties across tree rebuilds.
+    // failure list is stable). The biased profiles aim at the ways heap
+    // and lane entries interleave: times a nanosecond apart across many
+    // orders of magnitude, far-future entries, cancel-heavy slot traffic,
+    // schedules below a peeked time, and same-instant slot ties across
+    // lane-tree rebuilds.
     let seeds: u64 = if quick { 8 } else { 32 };
     let ops = if quick { 1_500 } else { 4_000 };
     let profiles = [

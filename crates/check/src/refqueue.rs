@@ -3,13 +3,12 @@
 //!
 //! [`PostedQueue`] re-implements the event queue's observable contract —
 //! earliest-first, FIFO within an instant, at-most-one-armed-entry slots —
-//! with none of its machinery: no timing wheel, no armed-slot fast lane
-//! and its tournament tree, no below-cursor batch. Entries live in a plain
-//! `Vec`; `pop` linearly scans for the minimum `(time, seq)` and removes
-//! it eagerly. Slow and obviously correct, which is the point: any
-//! divergence between the two implementations over the same operation
-//! sequence is a bug in the fast one (or, once, in the contract's
-//! wording).
+//! with none of its machinery: no heap, no armed-slot fast lane and its
+//! tournament tree. Entries live in a plain `Vec`; `pop` linearly scans
+//! for the minimum `(time, seq)` and removes it eagerly. Slow and
+//! obviously correct, which is the point: any divergence between the two
+//! implementations over the same operation sequence is a bug in the fast
+//! one (or, once, in the contract's wording).
 
 use speedbal_sim::{EventQueue, SimDuration, SimRng, SimTime, SlotId};
 
@@ -133,29 +132,29 @@ pub struct QueueCaseStats {
 }
 
 /// Time-delta distribution for a differential case. The production queue
-/// is a hierarchical timing wheel (64-slot levels, 6 bits each, 2^48 ns
-/// horizon) beside a tournament tree over the armed slots, so uniform
-/// deltas alone barely graze its interesting edges; each biased profile
-/// aims the fuzzer at one of them.
+/// is a binary heap of plain events beside a tournament tree over the
+/// armed slots, and a pop serves the lesser of the two minima; each
+/// biased profile aims the fuzzer at one way the two can interleave.
+/// The names recall the timing wheel the heap replaced, whose edges the
+/// profiles were first written for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaProfile {
     /// Uniform 0..2 ms deltas — the original general-purpose mix.
     Uniform,
-    /// Deltas hugging the wheel's slot and level widths (64^k ns ± 1), so
-    /// entries straddle bucket rollovers and level promotions as the
-    /// cursor advances past them.
+    /// Deltas one below, on and one above each power of 64 ns up to 2^48
+    /// ns, so pending entries span many orders of magnitude and pairs
+    /// of them differ by a single nanosecond.
     WheelBoundary,
-    /// Mostly near-term traffic with a tail of deltas beyond the 2^48 ns
-    /// wheel horizon, exercising the far-future overflow list and its
-    /// re-bucketing when the cursor catches up.
+    /// Mostly near-term traffic with a tail of deltas beyond 2^48 ns
+    /// (about 3.26 simulated days), which stay pending under the
+    /// near-term churn until the clock catches up.
     FarFuture,
     /// Tiny deltas with the op mix skewed hard toward slot supersede and
     /// cancel.
     CancelHeavy,
     /// Mostly deltas that land between the clock and the last peeked
-    /// time. A peek walks the production queue's wheel cursor up to the
-    /// earliest pending event, so these schedules merge into its sorted
-    /// batch below the cursor.
+    /// time, so a schedule after a peek must still pop before the event
+    /// the peek reported.
     BelowPeek,
     /// Every schedule lands on a shared 2 µs grid at most two points
     /// ahead, so dozens of armed slots tie on time and only seq orders
@@ -173,9 +172,8 @@ impl DeltaProfile {
         match self {
             DeltaProfile::Uniform => SimDuration::from_micros(rng.next_below(2_000)),
             DeltaProfile::WheelBoundary => {
-                // Slot widths are 64^k ns; land one tick before, on, and
-                // one tick after each boundary up to the horizon (k = 8
-                // is 2^48 ns, the horizon edge itself).
+                // Land one tick before, on, and one tick after 64^k ns
+                // for k up to 8 (2^48 ns).
                 let k = 1 + rng.next_below(8);
                 let base = 1u64 << (6 * k);
                 SimDuration::from_nanos(base - 1 + rng.next_below(3))
@@ -226,7 +224,7 @@ impl DeltaProfile {
 /// the case's op mix, or a description of the first divergence.
 ///
 /// Uses the general-purpose [`DeltaProfile::Uniform`] mix; see
-/// [`differential_queue_case_with`] for the wheel-edge-biased variants.
+/// [`differential_queue_case_with`] for the biased variants.
 pub fn differential_queue_case(seed: u64, n_ops: usize) -> Result<QueueCaseStats, String> {
     differential_queue_case_with(seed, n_ops, DeltaProfile::Uniform)
 }
@@ -444,40 +442,40 @@ mod tests {
         }
     }
 
-    /// The ISSUE-level property straight up: a wheel build and a plain
-    /// `BinaryHeap` build fed the same schedule stream pop identical
-    /// `(time, seq)` sequences, across deltas spanning every wheel level
-    /// and the overflow horizon.
+    /// The pop-stream property straight up: the production queue and a
+    /// plain `BinaryHeap` of `(time, seq)` pairs fed the same schedule
+    /// stream pop identical sequences, across deltas from 1 ns to past
+    /// 2^48 ns.
     #[test]
     fn wheel_and_heap_builds_pop_identical_time_seq_streams() {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         for seed in 0..8u64 {
             let mut rng = SimRng::new(seed ^ 0x5748_4C42); // "WHLB"
-            let mut wheel: EventQueue<u64> = EventQueue::new();
+            let mut queue: EventQueue<u64> = EventQueue::new();
             let mut heap: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
             let mut seq = 0u64;
             let mut now = SimTime::ZERO;
             for _ in 0..2_000 {
                 if rng.next_below(3) < 2 {
-                    // Span widths from 1 ns up past the 2^48 ns horizon.
+                    // Span widths from 1 ns up past 2^48 ns.
                     let bits = rng.next_below(50) as u32;
                     let at = now + SimDuration::from_nanos(rng.next_below(1u64 << bits) + 1);
-                    wheel.schedule(at, seq);
+                    queue.schedule(at, seq);
                     heap.push(Reverse((at, seq)));
                     seq += 1;
-                } else if let Some(e) = wheel.pop() {
+                } else if let Some(e) = queue.pop() {
                     let Reverse(expect) = heap.pop().expect("heap drained first");
                     assert_eq!((e.time, e.event), expect, "seed {seed}");
                     now = e.time;
                 }
             }
-            while let Some(e) = wheel.pop() {
+            while let Some(e) = queue.pop() {
                 let Reverse(expect) = heap.pop().expect("heap drained first");
                 assert_eq!((e.time, e.event), expect, "seed {seed}");
             }
-            assert!(heap.pop().is_none(), "wheel drained first");
-            assert!(wheel.validate().is_empty());
+            assert!(heap.pop().is_none(), "queue drained first");
+            assert!(queue.validate().is_empty());
         }
     }
 }

@@ -401,15 +401,15 @@ pub fn run_repeat(s: &Scenario, r: usize, traced: bool) -> RepeatOutcome {
     run_repeat_detailed(s, r, traced).0
 }
 
+/// Salt mixed into the repeat seed for frequency-schedule generation so
+/// the trace RNG stream is decoupled from the scheduler/balancer streams.
+const FREQ_SALT: u64 = 0x4652_4551; // "FREQ"
+
 /// Like [`run_repeat`], but also hands back the finished [`System`] so
 /// callers (the differential harness in `speedbal-check`, post-mortem
 /// tools) can inspect per-task execution totals, per-core busy time and
 /// the migration log after the run. The trace buffer has already been
 /// detached into the outcome.
-/// Salt mixed into the repeat seed for frequency-schedule generation so
-/// the trace RNG stream is decoupled from the scheduler/balancer streams.
-const FREQ_SALT: u64 = 0x4652_4551; // "FREQ"
-
 pub fn run_repeat_detailed(s: &Scenario, r: usize, traced: bool) -> (RepeatOutcome, System) {
     let seed = s.seed.wrapping_add(r as u64);
     let topo = {

@@ -119,7 +119,7 @@ impl SpawnSpec {
     }
 }
 
-/// One recorded migration (requires [`System::enable_migration_log`]).
+/// One recorded migration (requires [`System::enable_tracing`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct MigrationRecord {
     pub time: SimTime,
@@ -668,12 +668,6 @@ impl System {
         }
     }
 
-    /// Backwards-compatible alias: migration recording is now part of the
-    /// structured trace.
-    pub fn enable_migration_log(&mut self) {
-        self.enable_tracing();
-    }
-
     /// The migrations recorded so far (empty unless tracing is enabled),
     /// reconstructed from `Migrate` trace records. Wake placements are
     /// excluded, matching `total_migrations` accounting.
@@ -714,11 +708,6 @@ impl System {
 
     pub fn core_switches(&self, core: CoreId) -> u64 {
         self.cores[core.0].nr_switches
-    }
-
-    /// Number of conditions allocated (diagnostics).
-    pub fn n_conds(&self) -> usize {
-        self.conds.len()
     }
 
     // ------------------------------------------------------------------

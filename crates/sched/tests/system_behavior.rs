@@ -779,7 +779,7 @@ mod migration_log {
     #[test]
     fn log_records_exact_moves() {
         let mut sys = mk_system(3);
-        sys.enable_migration_log();
+        sys.enable_tracing();
         let g = sys.new_group();
         let t = sys.spawn(SpawnSpec::new(compute_task(ms(30)), "m", g));
         sys.run_until(SimTime::from_millis(5));

@@ -1,4 +1,4 @@
-//! Deterministic pending-event set: a hierarchical timing wheel.
+//! Deterministic pending-event set: a binary heap beside a tournament tree.
 //!
 //! The queue orders events by `(time, sequence)`. The sequence number is
 //! assigned at insertion, so two events scheduled for the same instant pop
@@ -7,36 +7,20 @@
 //!
 //! # Structure
 //!
-//! Events live in three containers:
+//! Every pending event has a `(time << 64) | seq` key, so one `u128`
+//! compare orders two events by `(time, seq)`. Keys are unique: each
+//! insertion draws a fresh sequence number. Events live in two
+//! containers:
 //!
-//! * **The wheel**: `LEVELS` levels of `WHEEL_SLOTS` buckets each, every
-//!   level `LEVEL_BITS` bits wider than the one below, with a `u64`
-//!   occupancy bitmap per level so finding the next non-empty bucket is a
-//!   rotate plus a trailing-zeros count. All entries are nodes in one slab
-//!   (`nodes` + free list) and a bucket is just the `u32` head of an
-//!   intrusive singly-linked list, so cascading a coarse bucket toward
-//!   level 0 relinks indices without moving payloads, and the only
-//!   growable allocation is the slab itself — its capacity ratchets to the
-//!   peak in-flight event count and steady state touches the heap never
-//!   (proved by `crates/sched/tests/alloc_free.rs`). Events beyond the
-//!   wheel's `2^48` ns horizon wait in an overflow list and are
-//!   redistributed when the cursor approaches.
-//! * **The batch**: every node at or below the wheel cursor, sorted by
-//!   `(time, seq)`. Level-0 buckets are one nanosecond wide, so a level-0
-//!   bucket holds **exactly one instant**: draining it (sorted by
-//!   sequence number) refills the batch, and every same-instant event
-//!   after the first — a barrier release of 64 waiters, say — is served
-//!   by a pointer bump instead of a wheel walk. The cursor trails the
-//!   earliest pending event, not the external clock: a peek, or a refill
-//!   that a lane entry then beats, walks it past `now()`, and an event
-//!   scheduled between the clock and the cursor is merged into the batch
-//!   at its `(time, seq)` position.
+//! * **The heap**: a binary min-heap of plain events, those scheduled
+//!   without a slot (timers, wake-ups, samples). Its capacity ratchets to
+//!   the peak number of pending plain events, so steady state never
+//!   touches the allocator (proved by `crates/sched/tests/alloc_free.rs`).
 //! * **The slot lane** (below).
 //!
-//! Batch nodes are at or below the cursor and wheel nodes strictly past
-//! it, so the batch front precedes all wheel content: every event is
-//! popped in exact `(time, seq)` order no matter which container it
-//! traversed — see `DESIGN.md` for the argument.
+//! A pop serves whichever of the heap top and the lane minimum has the
+//! lesser key, so every event pops in exact `(time, seq)` order whichever
+//! container held it — see `DESIGN.md` for the argument.
 //!
 //! # Slots and the armed-entry fast lane
 //!
@@ -48,16 +32,12 @@
 //!
 //! Because slot-armed events dominate a scheduler's event traffic (one
 //! boundary event per core, re-armed on nearly every dispatch), each
-//! slot's entry bypasses the wheel: it is a leaf of the **fast lane**, a
-//! tournament tree whose leaves hold `(time << 64) | seq` keys (`u128::MAX`
-//! when disarmed) and whose inner nodes hold the lesser child's key and
-//! slot. Keys are unique `(time, seq)` pairs, so node 1 is the exact lane
-//! minimum. Arming and cancelling replay one leaf-to-root path; a serve
-//! leaves its path to the next tree operation, so at most one path is
-//! stale, and only until then. Pops serve the lane minimum directly
-//! whenever it provably precedes the batch front and everything
-//! wheel-resident, using a cached conservative lower bound on the wheel's
-//! content (`wheel_lb`).
+//! slot's entry bypasses the heap: it is a leaf of the **fast lane**, a
+//! tournament tree whose leaves hold the entries' keys (`u128::MAX` when
+//! disarmed) and whose inner nodes hold the lesser child's key and slot,
+//! so node 1 is the exact lane minimum. Arming and cancelling replay one
+//! leaf-to-root path; a serve leaves its path to the next tree operation,
+//! so at most one path is stale, and only until then.
 //!
 //! Sequence numbers are consumed by every insertion, slot-armed or not, so
 //! a slot-armed schedule produces the exact pop order of the equivalent
@@ -68,13 +48,18 @@
 use crate::ordering::OrderingPolicy;
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::fmt::Debug;
 
 /// An event plus its scheduled time, as returned by [`EventQueue::pop`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduledEvent<E> {
+    /// The instant the event was scheduled for; the clock reads it once
+    /// the event pops.
     pub time: SimTime,
+    /// The payload handed to [`EventQueue::schedule`] or
+    /// [`EventQueue::schedule_in_slot`].
     pub event: E,
 }
 
@@ -85,30 +70,56 @@ pub struct SlotId(u32);
 /// Marker for events not owned by any slot.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Null link / end-of-list marker in the node slab.
-const NIL: u32 = u32::MAX;
+/// The `(time << 64) | seq` key of an event.
+#[inline]
+fn key(at: SimTime, seq: u64) -> u128 {
+    (u128::from(at.as_nanos()) << 64) | u128::from(seq)
+}
 
-/// Bits of time resolved per wheel level.
-const LEVEL_BITS: u32 = 6;
-/// Buckets per level (`2^LEVEL_BITS`), matching the `u64` occupancy bitmap.
-const WHEEL_SLOTS: usize = 1 << LEVEL_BITS;
-/// Number of levels. The wheel spans `LEVEL_BITS * LEVELS = 48` bits of
-/// nanoseconds (~3.26 simulated days) past the cursor; anything farther
-/// waits in the overflow list.
-const LEVELS: usize = 8;
-/// Total bits of horizon covered by the wheel levels.
-const HORIZON_BITS: u32 = LEVEL_BITS * LEVELS as u32;
+/// The time half of a key.
+#[inline]
+fn key_time(key: u128) -> SimTime {
+    SimTime::from_nanos((key >> 64) as u64)
+}
 
-/// A lane-tree node. A leaf holds its slot's armed `(time << 64) | seq`
-/// key, so one compare orders two entries by `(time, seq)`, or [`VACANT`];
-/// an inner node holds the lesser of its two children.
+/// A pending plain event. Ordered by key, reversed, so the standard
+/// max-heap serves the least key first.
+#[derive(Debug)]
+struct Plain<E> {
+    key: u128,
+    event: E,
+}
+
+impl<E> PartialEq for Plain<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl<E> Eq for Plain<E> {}
+
+impl<E> PartialOrd for Plain<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Plain<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
+}
+
+/// A lane-tree node. A leaf holds its slot's armed key or [`VACANT`]; an
+/// inner node holds the lesser of its two children.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entrant {
     key: u128,
     slot: u32,
 }
 
-/// The key of a disarmed leaf; it sorts after every armed key.
+/// The key of a disarmed leaf, and of an empty heap; it sorts after every
+/// pending key.
 const VACANT: u128 = u128::MAX;
 const VACANT_LEAF: Entrant = Entrant {
     key: VACANT,
@@ -121,28 +132,6 @@ const VACANT_LEAF: Entrant = Entrant {
 fn winner(tree: &[Entrant], i: usize) -> Entrant {
     let pair = &tree[2 * i..2 * i + 2];
     pair[usize::from(pair[1].key < pair[0].key)]
-}
-
-/// A slab node: one scheduled plain event plus its intrusive list link.
-/// `event` is `None` only while the node sits on the free list.
-#[derive(Debug)]
-struct Node<E> {
-    time: SimTime,
-    seq: u64,
-    /// Next node in whatever list this node is on (bucket, overflow, free
-    /// list), or `NIL`.
-    next: u32,
-    event: Option<E>,
-}
-
-/// Outcome of one [`EventQueue::refill`] attempt: nothing pending, a lone
-/// event served straight off the wheel (the singleton fast path, which
-/// skips the batch round trip entirely), or a level-0 bucket drained into
-/// the batch.
-enum Refill {
-    Empty,
-    Direct(u32),
-    Batch,
 }
 
 /// Engine state for a non-FIFO [`OrderingPolicy`]. `None` on the queue
@@ -176,22 +165,6 @@ struct StashEntry<E> {
     event: Option<E>,
 }
 
-/// One wheel level: 64 bucket list heads. The occupancy bitmaps live in a
-/// flat array on the queue itself ([`EventQueue::occ`]) so the candidate
-/// scan touches one cache line instead of eight.
-#[derive(Debug)]
-struct Level {
-    heads: [u32; WHEEL_SLOTS],
-}
-
-impl Level {
-    fn new() -> Self {
-        Level {
-            heads: [NIL; WHEEL_SLOTS],
-        }
-    }
-}
-
 /// A min-queue of future events ordered by time, FIFO within a single
 /// instant.
 ///
@@ -201,43 +174,10 @@ impl Level {
 /// which is far worse than a crash).
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Node slab; the single growable store for plain-event payloads.
-    nodes: Vec<Node<E>>,
-    /// Head of the slab's free list (`NIL` when exhausted).
-    free_head: u32,
-    /// The hierarchical wheel itself.
-    levels: Box<[Level; LEVELS]>,
-    /// Per-level occupancy bitmaps: bit `i` of `occ[L]` is set iff bucket
-    /// `i` of level `L` is non-empty. Kept flat and out of [`Level`] so
-    /// the whole candidate scan reads one cache line.
-    occ: [u64; LEVELS],
-    /// Bit `L` set iff `occ[L] != 0`: the candidate scan iterates only
-    /// occupied levels.
-    occ_levels: u32,
-    /// Head of the beyond-horizon overflow list (unordered); redistributed
-    /// into the wheel when the cursor gets within range.
-    overflow_head: u32,
-    /// Minimum time over all overflow entries; `u64::MAX` when the list
-    /// is empty.
-    overflow_min: u64,
-    /// Every node at or below the cursor, sorted by `(time, seq)`: the
-    /// drained level-0 bucket of the instant `wheel_now`, plus legal
-    /// late-comers below it (the cursor may run ahead of the external
-    /// clock). Same-instant arrivals at the cursor append (their sequence
-    /// numbers are larger by construction); earlier ones merge in by time.
-    batch: VecDeque<u32>,
-    /// The wheel cursor, in nanoseconds. Never decreases; every batch
-    /// node is at or below it and every wheel- or overflow-resident node
-    /// strictly past it. Lane entries are independent of the cursor.
-    wheel_now: u64,
-    /// Conservative lower bound (ns) on every wheel- or overflow-resident
-    /// entry's time; `u64::MAX` when both are empty. A lane entry strictly
-    /// below it that also precedes the batch front is provably the global
-    /// minimum and is served without touching the wheel.
-    wheel_lb: u64,
-    /// Pending entries across all containers, lane included (stashed
-    /// entries excluded).
-    count: usize,
+    /// Pending plain events, least key on top.
+    heap: BinaryHeap<Plain<E>>,
+    /// Armed lane entries (stashed entries excluded).
+    armed: usize,
     /// Fast lane: a tournament tree over the slots. Node 1 is the root,
     /// slot `s`'s leaf is node `tree.len() / 2 + s`, and node 0 is unused.
     /// The leaf row is a power of two wide, padded with vacant leaves.
@@ -277,17 +217,8 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at time zero.
     pub fn new() -> Self {
         EventQueue {
-            nodes: Vec::new(),
-            free_head: NIL,
-            levels: Box::new(std::array::from_fn(|_| Level::new())),
-            occ: [0; LEVELS],
-            occ_levels: 0,
-            overflow_head: NIL,
-            overflow_min: u64::MAX,
-            batch: VecDeque::new(),
-            wheel_now: 0,
-            wheel_lb: u64::MAX,
-            count: 0,
+            heap: BinaryHeap::new(),
+            armed: 0,
             tree: vec![VACANT_LEAF; 2],
             stale: NO_SLOT,
             lane_event: Vec::new(),
@@ -310,7 +241,7 @@ impl<E> EventQueue<E> {
     /// Number of pending events (a stashed same-instant event awaiting
     /// reordered service is still pending).
     pub fn len(&self) -> usize {
-        self.count + self.stash_live
+        self.heap.len() + self.armed + self.stash_live
     }
 
     /// True iff no events are pending.
@@ -429,7 +360,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    fn assert_future(&self, at: SimTime, event: &E)
+    /// Panics if `at` is before the clock, then issues the next sequence
+    /// number and returns the event's key.
+    fn next_key(&mut self, at: SimTime, event: &E) -> u128
     where
         E: Debug,
     {
@@ -438,6 +371,9 @@ impl<E> EventQueue<E> {
             "scheduled an event in the past: {at} < now {} (event {event:?})",
             self.now,
         );
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        key(at, seq)
     }
 
     /// Schedules `event` at absolute time `at`. Panics if `at` is in the
@@ -446,10 +382,8 @@ impl<E> EventQueue<E> {
     where
         E: Debug,
     {
-        self.assert_future(at, &event);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.insert(at, seq, event);
+        let key = self.next_key(at, &event);
+        self.heap.push(Plain { key, event });
     }
 
     /// Schedules `event` at `at` under `slot`, cancelling the slot's
@@ -458,16 +392,14 @@ impl<E> EventQueue<E> {
     where
         E: Debug,
     {
-        self.assert_future(at, &event);
+        let key = self.next_key(at, &event);
         let s = slot.0 as usize;
         self.stash_kill(s);
         if !self.disarm(s) {
-            self.count += 1;
+            self.armed += 1;
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let leaf = self.leaf(s);
-        self.tree[leaf].key = (u128::from(at.as_nanos()) << 64) | u128::from(seq);
+        self.tree[leaf].key = key;
         self.lane_event[s] = Some(event);
         self.replay(s);
     }
@@ -477,7 +409,7 @@ impl<E> EventQueue<E> {
         let s = slot.0 as usize;
         self.stash_kill(s);
         if self.disarm(s) {
-            self.count -= 1;
+            self.armed -= 1;
             self.replay(s);
         }
     }
@@ -520,260 +452,21 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Takes a node off the free list (or grows the slab) and initialises
-    /// it.
-    fn alloc_node(&mut self, time: SimTime, seq: u64, event: E) -> u32 {
-        if self.free_head != NIL {
-            let i = self.free_head;
-            let n = &mut self.nodes[i as usize];
-            self.free_head = n.next;
-            n.time = time;
-            n.seq = seq;
-            n.next = NIL;
-            n.event = Some(event);
-            i
-        } else {
-            assert!(
-                self.nodes.len() < NIL as usize,
-                "event-queue node space exhausted"
-            );
-            let i = self.nodes.len() as u32;
-            self.nodes.push(Node {
-                time,
-                seq,
-                next: NIL,
-                event: Some(event),
-            });
-            i
-        }
-    }
-
-    /// Clears a bucket's occupancy bit, and its level's bit in
-    /// `occ_levels` when the level empties.
+    /// The lane minimum: node 1 of the lane tree, once the path a serve
+    /// left stale is replayed. Its key is [`VACANT`] when no slot is
+    /// armed.
     #[inline]
-    fn clear_bucket_bit(&mut self, level: usize, idx: usize) {
-        self.occ[level] &= !(1u64 << idx);
-        if self.occ[level] == 0 {
-            self.occ_levels &= !(1u32 << level);
-        }
-    }
-
-    /// Routes a fresh node to the batch (at or below the cursor) or the
-    /// wheel/overflow (past it).
-    fn insert(&mut self, time: SimTime, seq: u64, event: E) {
-        self.count += 1;
-        let t = time.as_nanos();
-        let i = self.alloc_node(time, seq, event);
-        if t == self.wheel_now {
-            // The cursor instant is the batch's latest, and the new
-            // sequence number exceeds every batched one, so appending
-            // keeps the batch sorted.
-            self.batch.push_back(i);
-        } else if t < self.wheel_now {
-            // Legal late-comer: the cursor ran ahead of the external
-            // clock. Merge by time; the fresh seq goes last among equals.
-            let nodes = &self.nodes;
-            let at = self
-                .batch
-                .partition_point(|&j| nodes[j as usize].time.as_nanos() <= t);
-            self.batch.insert(at, i);
-        } else {
-            self.wheel_insert(i);
-        }
-    }
-
-    /// The wheel level an event `diff = t ^ wheel_now` belongs to, or
-    /// `None` when it lies beyond the horizon (overflow).
-    #[inline]
-    fn level_of(diff: u64) -> Option<usize> {
-        if diff == 0 {
-            Some(0)
-        } else if diff >> HORIZON_BITS != 0 {
-            None
-        } else {
-            Some(((63 - diff.leading_zeros()) / LEVEL_BITS) as usize)
-        }
-    }
-
-    /// Links a node with `time >= wheel_now` into its wheel bucket, or the
-    /// overflow list when it lies beyond the horizon.
-    fn wheel_insert(&mut self, i: u32) {
-        let t = self.nodes[i as usize].time.as_nanos();
-        debug_assert!(t >= self.wheel_now, "wheel insert below the cursor");
-        self.wheel_lb = self.wheel_lb.min(t);
-        match Self::level_of(t ^ self.wheel_now) {
-            None => {
-                self.overflow_min = self.overflow_min.min(t);
-                self.nodes[i as usize].next = self.overflow_head;
-                self.overflow_head = i;
-            }
-            Some(level) => {
-                let idx = ((t >> (LEVEL_BITS * level as u32)) & (WHEEL_SLOTS as u64 - 1)) as usize;
-                let lv = &mut self.levels[level];
-                self.nodes[i as usize].next = lv.heads[idx];
-                lv.heads[idx] = i;
-                self.occ[level] |= 1 << idx;
-                self.occ_levels |= 1 << level;
-            }
-        }
-    }
-
-    /// Finds the minimal-start candidate bucket across all levels:
-    /// `(start_ns, level, bucket)`, plus the start of the runner-up
-    /// candidate (`u64::MAX` when there is none). Ties resolve to the
-    /// *highest* level so coarse buckets cascade before a finer bucket at
-    /// the same start is served — that is what lets cascaded entries merge
-    /// into the batch of their instant in sequence order. The runner-up
-    /// start bounds every pending event outside the best bucket from
-    /// below, which is what licenses the singleton fast path in
-    /// [`EventQueue::refill`].
-    fn min_candidate(&self) -> (Option<(u64, usize, usize)>, u64) {
-        let mut best: Option<(u64, usize, usize)> = None;
-        let mut second = u64::MAX;
-        // Iterate occupied levels only, highest first (the tie-break
-        // direction).
-        let mut mask = self.occ_levels;
-        while mask != 0 {
-            let li = (31 - mask.leading_zeros()) as usize;
-            mask &= !(1u32 << li);
-            let occ = self.occ[li];
-            let shift = LEVEL_BITS * li as u32;
-            let base = self.wheel_now >> shift;
-            let cpos = (base & (WHEEL_SLOTS as u64 - 1)) as u32;
-            // Rotating the bitmap by the cursor position turns "distance
-            // ahead of the cursor, wrapping" into plain trailing zeros.
-            let rot = occ.rotate_right(cpos);
-            let dist = rot.trailing_zeros() as u64;
-            let idx = ((u64::from(cpos) + dist) & (WHEEL_SLOTS as u64 - 1)) as usize;
-            let start = (base + dist) << shift;
-            match best {
-                Some((bs, _, _)) if start >= bs => second = second.min(start),
-                _ => {
-                    if let Some((bs, _, _)) = best {
-                        second = second.min(bs);
-                    }
-                    // This level's own runner-up bucket also bounds the
-                    // field.
-                    let rest = rot & !(1u64 << dist);
-                    if rest != 0 {
-                        let d2 = rest.trailing_zeros() as u64;
-                        second = second.min((base + d2) << shift);
-                    }
-                    best = Some((start, li, idx));
-                }
-            }
-        }
-        (best, second)
-    }
-
-    /// Redistributes the overflow list against the (just-advanced) cursor:
-    /// in-horizon entries file into the wheel, the rest stay and
-    /// `overflow_min` is recomputed.
-    fn redistribute_overflow(&mut self) {
-        let mut cur = std::mem::replace(&mut self.overflow_head, NIL);
-        self.overflow_min = u64::MAX;
-        while cur != NIL {
-            let next = self.nodes[cur as usize].next;
-            let t = self.nodes[cur as usize].time.as_nanos();
-            if Self::level_of(t ^ self.wheel_now).is_some() {
-                self.wheel_insert(cur);
-            } else {
-                self.overflow_min = self.overflow_min.min(t);
-                self.nodes[cur as usize].next = self.overflow_head;
-                self.overflow_head = cur;
-            }
-            cur = next;
-        }
-    }
-
-    /// Advances the cursor to the next occupied instant and either hands
-    /// back its lone event directly ([`Refill::Direct`], the singleton
-    /// fast path) or drains its level-0 bucket into the batch (sorted by
-    /// sequence number, [`Refill::Batch`]). [`Refill::Empty`] iff the
-    /// wheel and overflow list are empty. Precondition: the batch is
-    /// empty.
-    fn refill(&mut self) -> Refill {
-        debug_assert!(self.batch.is_empty());
-        loop {
-            let (best, second) = self.min_candidate();
-            // Pull the overflow back in before serving anything at or past
-            // its minimum, so same-instant events split across the horizon
-            // still merge into one batch.
-            if self.overflow_head != NIL && best.is_none_or(|(bs, _, _)| self.overflow_min <= bs) {
-                self.wheel_now = self.wheel_now.max(self.overflow_min);
-                self.redistribute_overflow();
-                continue;
-            }
-            let Some((start, level, idx)) = best else {
-                self.wheel_lb = u64::MAX;
-                return Refill::Empty;
-            };
-            // A coarse bucket the cursor has entered starts at or below
-            // it; max() keeps the cursor monotone.
-            self.wheel_now = self.wheel_now.max(start);
-            if level > 0 {
-                // Singleton fast path: with sparse occupancy (the common
-                // regime — tens of events spread over microseconds), the
-                // minimal bucket usually holds exactly one entry. If its
-                // time precedes every other candidate start and the whole
-                // overflow list, no other container can hold an earlier or
-                // equal-time event, so the level-by-level cascade would
-                // move just this node all the way down to level 0 — serve
-                // it directly instead.
-                let head = self.levels[level].heads[idx];
-                if self.nodes[head as usize].next == NIL {
-                    let t = self.nodes[head as usize].time.as_nanos();
-                    if t < second.min(self.overflow_min) {
-                        self.levels[level].heads[idx] = NIL;
-                        self.clear_bucket_bit(level, idx);
-                        self.wheel_now = t;
-                        // Everything still wheel-resident starts at or
-                        // past the runner-up candidate.
-                        self.wheel_lb = second.min(self.overflow_min);
-                        return Refill::Direct(head);
-                    }
-                }
-            }
-            let mut cur = std::mem::replace(&mut self.levels[level].heads[idx], NIL);
-            self.clear_bucket_bit(level, idx);
-            if level == 0 {
-                // One level-0 bucket = one instant: this is the new batch.
-                while cur != NIL {
-                    self.batch.push_back(cur);
-                    cur = self.nodes[cur as usize].next;
-                }
-                // The list is in last-in-first-out link order; one sort
-                // restores the insertion (sequence) order for the whole
-                // instant.
-                let nodes = &self.nodes;
-                self.batch
-                    .make_contiguous()
-                    .sort_unstable_by_key(|&i| nodes[i as usize].seq);
-                // The drained bucket was the minimal candidate; survivors
-                // start at or past the runner-up.
-                self.wheel_lb = second.min(self.overflow_min);
-                return Refill::Batch;
-            }
-            // Cascade a coarser bucket: every entry relinks at a strictly
-            // lower level now that the cursor is inside its range.
-            while cur != NIL {
-                let next = self.nodes[cur as usize].next;
-                self.wheel_insert(cur);
-                cur = next;
-            }
-        }
-    }
-
-    /// The earliest armed lane entry by `(time, seq)`: `(time_ns, seq,
-    /// slot)`, or `None` when no slot is armed. Node 1 of the lane tree,
-    /// once the path a serve left stale is replayed.
-    #[inline]
-    fn lane_min(&mut self) -> Option<(u64, u64, usize)> {
+    fn lane_min(&mut self) -> Entrant {
         if self.stale != NO_SLOT {
             self.replay(self.stale as usize);
         }
-        let Entrant { key, slot } = self.tree[1];
-        (key != VACANT).then_some(((key >> 64) as u64, key as u64, slot as usize))
+        self.tree[1]
+    }
+
+    /// The least plain event's key, or [`VACANT`] when the heap is empty.
+    #[inline]
+    fn heap_min(&self) -> u128 {
+        self.heap.peek().map_or(VACANT, |p| p.key)
     }
 
     /// Serves slot `s`'s lane entry, the lane minimum, and advances the
@@ -782,58 +475,17 @@ impl<E> EventQueue<E> {
     fn serve_lane(&mut self, s: usize) -> ScheduledEvent<E> {
         debug_assert!(self.stale == NO_SLOT, "served past a stale lane path");
         let leaf = self.leaf(s);
-        let time = SimTime::from_nanos((self.tree[leaf].key >> 64) as u64);
+        let time = key_time(self.tree[leaf].key);
         let event = self.lane_event[s]
             .take()
             .expect("armed lane slot without an event");
         self.tree[leaf].key = VACANT;
         self.stale = s as u32;
-        self.count -= 1;
+        self.armed -= 1;
         self.served_slot = s as u32;
         debug_assert!(time >= self.now, "queue order violated");
         self.now = time;
         ScheduledEvent { time, event }
-    }
-
-    /// Serves a node (already unlinked from its container): frees it and
-    /// advances the clock.
-    fn finish_node(&mut self, i: u32) -> ScheduledEvent<E> {
-        let n = &mut self.nodes[i as usize];
-        let time = n.time;
-        let event = n.event.take().expect("taking a freed node");
-        n.next = self.free_head;
-        self.free_head = i;
-        self.count -= 1;
-        self.served_slot = NO_SLOT;
-        debug_assert!(time >= self.now, "queue order violated");
-        self.now = time;
-        ScheduledEvent { time, event }
-    }
-
-    /// True iff `(t, seq)` strictly precedes the batch front (and so the
-    /// whole batch).
-    #[inline]
-    fn precedes_batch(&self, t: u64, seq: u64) -> bool {
-        self.batch.front().is_none_or(|&i| {
-            let n = &self.nodes[i as usize];
-            (t, seq) < (n.time.as_nanos(), n.seq)
-        })
-    }
-
-    /// True iff a lane entry at `lt` provably precedes everything wheel-
-    /// or overflow-resident: against the cached bound, else against a
-    /// fresh candidate scan, whose bound is then cached.
-    fn lane_precedes_wheel(&mut self, lt: u64) -> bool {
-        if lt < self.wheel_lb {
-            return true;
-        }
-        let (best, _) = self.min_candidate();
-        let bound = best.map_or(self.overflow_min, |(bs, _, _)| bs.min(self.overflow_min));
-        if lt < bound {
-            self.wheel_lb = bound;
-            return true;
-        }
-        false
     }
 
     /// Time of the earliest pending event, if any. An instant
@@ -850,28 +502,8 @@ impl<E> EventQueue<E> {
     /// ignoring the reorder stash (whose entries are counterfactually
     /// already popped).
     fn peek_time_queue(&mut self) -> Option<SimTime> {
-        let lane = self.lane_min();
-        loop {
-            if let Some(&i) = self.batch.front() {
-                let n = &self.nodes[i as usize];
-                let nt = (n.time.as_nanos(), n.seq);
-                return Some(SimTime::from_nanos(match lane {
-                    Some((lt, lseq, _)) if (lt, lseq) < nt => lt,
-                    _ => nt.0,
-                }));
-            }
-            if let Some((lt, _, _)) = lane {
-                if self.lane_precedes_wheel(lt) {
-                    return Some(SimTime::from_nanos(lt));
-                }
-            }
-            match self.refill() {
-                Refill::Empty => return lane.map(|(lt, _, _)| SimTime::from_nanos(lt)),
-                // A peek must not consume the event: keep it pending.
-                Refill::Direct(i) => self.batch.push_back(i),
-                Refill::Batch => {}
-            }
-        }
+        let key = self.lane_min().key.min(self.heap_min());
+        (key != VACANT).then(|| key_time(key))
     }
 
     /// Pops the earliest event and advances the clock to its time.
@@ -886,62 +518,22 @@ impl<E> EventQueue<E> {
         self.pop_fifo()
     }
 
-    /// The committed `(time, seq)` FIFO pop. This *is* [`EventQueue::pop`]
-    /// when no reordering policy is set, and the pull primitive of
+    /// The committed `(time, seq)` FIFO pop: the lesser of the lane
+    /// minimum and the heap top. This *is* [`EventQueue::pop`] when no
+    /// reordering policy is set, and the pull primitive of
     /// [`EventQueue::pop_reordered`] when one is.
     #[inline]
     fn pop_fifo(&mut self) -> Option<ScheduledEvent<E>> {
         let lane = self.lane_min();
-        if let Some((t, seq, s)) = lane {
-            // Fast path: the lane minimum provably precedes all wheel
-            // content and the batch.
-            if t < self.wheel_lb && self.precedes_batch(t, seq) {
-                return Some(self.serve_lane(s));
-            }
+        if lane.key < self.heap_min() {
+            return Some(self.serve_lane(lane.slot as usize));
         }
-        self.pop_slow(lane)
-    }
-
-    /// Pop path for everything the lane fast path cannot prove: arbitrates
-    /// the lane minimum against the batch and the wheel in exact
-    /// `(time, seq)` order.
-    fn pop_slow(&mut self, lane: Option<(u64, u64, usize)>) -> Option<ScheduledEvent<E>> {
-        loop {
-            // The batch front precedes everything wheel- or
-            // overflow-resident.
-            if let Some(&i) = self.batch.front() {
-                let n = &self.nodes[i as usize];
-                if let Some((lt, lseq, s)) = lane {
-                    if (lt, lseq) < (n.time.as_nanos(), n.seq) {
-                        return Some(self.serve_lane(s));
-                    }
-                }
-                self.batch.pop_front();
-                return Some(self.finish_node(i));
-            }
-            if let Some((lt, _, s)) = lane {
-                if self.lane_precedes_wheel(lt) {
-                    return Some(self.serve_lane(s));
-                }
-            }
-            match self.refill() {
-                Refill::Empty => return lane.map(|(_, _, s)| self.serve_lane(s)),
-                Refill::Direct(i) => {
-                    let n = &self.nodes[i as usize];
-                    if let Some((lt, lseq, s)) = lane {
-                        if (lt, lseq) < (n.time.as_nanos(), n.seq) {
-                            // The lane wins; the surfaced node stays
-                            // pending, now below a cursor the clock
-                            // trails.
-                            self.batch.push_back(i);
-                            return Some(self.serve_lane(s));
-                        }
-                    }
-                    return Some(self.finish_node(i));
-                }
-                Refill::Batch => {}
-            }
-        }
+        let Plain { key, event } = self.heap.pop()?;
+        let time = key_time(key);
+        self.served_slot = NO_SLOT;
+        debug_assert!(time >= self.now, "queue order violated");
+        self.now = time;
+        Some(ScheduledEvent { time, event })
     }
 
     /// Policy-directed pop: pulls every event of the earliest pending
@@ -950,8 +542,8 @@ impl<E> EventQueue<E> {
     /// entries. The merge step re-runs on every pop of the open instant,
     /// so same-instant late-comers scheduled by handlers of
     /// already-served events join the candidate set — a legal pick,
-    /// since their causes have fired, exactly as the FIFO batch would
-    /// have appended them.
+    /// since their causes have fired, exactly as FIFO would serve them
+    /// after the events already pending at that instant.
     fn pop_reordered(&mut self) -> Option<ScheduledEvent<E>> {
         if self.stash_live == 0 {
             self.stash.clear();
@@ -1028,18 +620,8 @@ impl<E> EventQueue<E> {
     /// Discards every pending event (used when tearing a simulation down
     /// early).
     pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free_head = NIL;
-        for lv in self.levels.iter_mut() {
-            lv.heads = [NIL; WHEEL_SLOTS];
-        }
-        self.occ = [0; LEVELS];
-        self.occ_levels = 0;
-        self.overflow_head = NIL;
-        self.overflow_min = u64::MAX;
-        self.batch.clear();
-        self.wheel_lb = u64::MAX;
-        self.count = 0;
+        self.heap.clear();
+        self.armed = 0;
         self.tree.fill(VACANT_LEAF);
         self.rebuild_tree(self.tree.len() / 2);
         self.lane_event.iter_mut().for_each(|e| *e = None);
@@ -1048,22 +630,19 @@ impl<E> EventQueue<E> {
     }
 
     /// Exhaustively checks the queue's internal invariants, returning every
-    /// violation found (empty = consistent). O(entries + buckets + slots);
-    /// meant for the invariant-checking harness, not the hot path.
+    /// violation found (empty = consistent). O(entries + slots); meant for
+    /// the invariant-checking harness, not the hot path.
     ///
     /// Checked: every lane leaf names its slot and mirrors its lane cell,
     /// armed (key set, event present) or vacant (neither), never before
-    /// the clock; every inner node of the lane tree holds the lesser of
-    /// its children, except on the one path a serve left stale; the entry
-    /// counter matches the entries actually stored; occupancy bitmaps
-    /// mirror bucket contents and `overflow_min` bounds the overflow list
-    /// from below; wheel and overflow entries lie strictly past the
-    /// cursor and at or past `wheel_lb`; the batch is sorted by `(time,
-    /// seq)`, at or below the cursor and not before the clock; the
-    /// reorder stash is consistent with its counter and the lane.
+    /// the clock; the armed-entry counter matches the armed leaves; every
+    /// inner node of the lane tree holds the lesser of its children,
+    /// except on the one path a serve left stale; no heap entry lies
+    /// before the clock; the reorder stash is consistent with its counter
+    /// and the lane.
     pub fn validate(&self) -> Vec<String> {
         let mut violations = Vec::new();
-        let mut stored = 0usize;
+        let mut armed = 0usize;
         // The fast lane: its leaves, padding included.
         let leaves = self.tree.len() / 2;
         for (s, leaf) in self.tree[leaves..].iter().enumerate() {
@@ -1077,94 +656,22 @@ impl<E> EventQueue<E> {
                 }
                 continue;
             }
-            stored += 1;
-            let t = (leaf.key >> 64) as u64;
+            armed += 1;
+            let t = key_time(leaf.key);
             if !has_event {
-                violations.push(format!(
-                    "slot {s} armed at {t}ns but its lane cell is empty"
-                ));
+                violations.push(format!("slot {s} armed at {t} but its lane cell is empty"));
             }
-            if t < self.now.as_nanos() {
+            if t < self.now {
                 violations.push(format!(
-                    "lane entry of slot {s} at {t}ns is before the clock {}",
+                    "lane entry of slot {s} at {t} is before the clock {}",
                     self.now
                 ));
             }
         }
-        // Wheel buckets and the overflow list.
-        let mut wheel_nodes: Vec<u32> = Vec::new();
-        for (li, lv) in self.levels.iter().enumerate() {
-            for (idx, &head) in lv.heads.iter().enumerate() {
-                let bit_set = self.occ[li] & (1u64 << idx) != 0;
-                if bit_set != (head != NIL) {
-                    violations.push(format!(
-                        "occupancy bit for bucket {idx} is {bit_set} but the bucket head is {}",
-                        if head == NIL { "empty" } else { "linked" }
-                    ));
-                }
-                let mut cur = head;
-                while cur != NIL {
-                    wheel_nodes.push(cur);
-                    cur = self.nodes[cur as usize].next;
-                }
-            }
-        }
-        let mut cur = self.overflow_head;
-        while cur != NIL {
-            let n = &self.nodes[cur as usize];
-            if n.time.as_nanos() < self.overflow_min {
-                violations.push(format!(
-                    "overflow entry (seq {}) at {} undercuts overflow_min {}ns",
-                    n.seq, n.time, self.overflow_min
-                ));
-            }
-            wheel_nodes.push(cur);
-            cur = n.next;
-        }
-        for &i in &wheel_nodes {
-            let n = &self.nodes[i as usize];
-            if n.time.as_nanos() <= self.wheel_now {
-                violations.push(format!(
-                    "wheel entry (seq {}) at {} is not past the cursor {}ns",
-                    n.seq, n.time, self.wheel_now
-                ));
-            }
-            if n.time.as_nanos() < self.wheel_lb {
-                violations.push(format!(
-                    "wheel entry (seq {}) at {} undercuts wheel_lb {}ns",
-                    n.seq, n.time, self.wheel_lb
-                ));
-            }
-        }
-        // The batch.
-        let mut prev: Option<(SimTime, u64)> = None;
-        for &i in &self.batch {
-            let n = &self.nodes[i as usize];
-            let key = (n.time, n.seq);
-            if prev.is_some_and(|p| p >= key) {
-                violations.push(format!(
-                    "batch out of (time, seq) order: {prev:?} before {key:?}"
-                ));
-            }
-            prev = Some(key);
-            if n.time.as_nanos() > self.wheel_now {
-                violations.push(format!(
-                    "batch entry (seq {}) at {} is past the cursor {}ns",
-                    n.seq, n.time, self.wheel_now
-                ));
-            }
-            if n.time < self.now {
-                violations.push(format!(
-                    "batch entry (seq {}) at {} is before the clock {}",
-                    n.seq, n.time, self.now
-                ));
-            }
-        }
-        stored += wheel_nodes.len() + self.batch.len();
-        if stored != self.count {
+        if armed != self.armed {
             violations.push(format!(
-                "entry counter {} != {stored} entries actually stored",
-                self.count
+                "armed-entry counter {} != {armed} armed lane leaves",
+                self.armed
             ));
         }
         // The lane tree's inner nodes. Those on the stale path still hold
@@ -1177,6 +684,16 @@ impl<E> EventQueue<E> {
             if node != least && !(on_stale && node.slot == self.stale && node.key < least.key) {
                 violations.push(format!(
                     "lane tree node {i} holds {node:?}, not the lesser of its children {least:?}"
+                ));
+            }
+        }
+        // The heap.
+        for p in &self.heap {
+            let t = key_time(p.key);
+            if t < self.now {
+                violations.push(format!(
+                    "heap entry (seq {}) at {t} is before the clock {}",
+                    p.key as u64, self.now
                 ));
             }
         }
@@ -1438,14 +955,14 @@ mod tests {
         let s = q.alloc_slot();
         q.schedule_in_slot(s, SimTime::from_millis(1), ());
         q.schedule(SimTime::from_millis(2), ());
-        // Corrupt the entry counter.
-        q.count = 1;
+        // Corrupt the armed-entry counter.
+        q.armed = 0;
         let v = q.validate();
         assert!(
-            v.iter().any(|m| m.contains("entry counter")),
-            "entry-counter violation not reported: {v:?}"
+            v.iter().any(|m| m.contains("armed-entry counter")),
+            "armed-entry counter violation not reported: {v:?}"
         );
-        q.count = 2;
+        q.armed = 1;
         // Arm the lane cell without an event behind it.
         q.lane_event[0] = None;
         let v = q.validate();
@@ -1486,13 +1003,21 @@ mod tests {
     }
 
     #[test]
-    fn validate_flags_stray_occupancy_bit() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.occ[2] |= 1 << 17;
+    fn validate_flags_heap_entry_before_the_clock() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(10), ());
+        q.pop();
+        assert!(q.validate().is_empty(), "{:?}", q.validate());
+        // Slip in an entry behind the clock at 10 ms.
+        q.heap.push(Plain {
+            key: key(SimTime::from_millis(4), 99),
+            event: (),
+        });
         let v = q.validate();
         assert!(
-            v.iter().any(|m| m.contains("occupancy bit")),
-            "stray occupancy bit not reported: {v:?}"
+            v.iter()
+                .any(|m| m.contains("heap entry (seq 99)") && m.contains("before the clock")),
+            "heap entry before the clock not reported: {v:?}"
         );
     }
 
@@ -1510,19 +1035,20 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Wheel-specific coverage: level boundaries, the overflow list,
-    // below-cursor merges, and batch appends.
+    // Pop order where plain and lane entries meet: times spread over many
+    // orders of magnitude, far-future events, schedules below a peeked
+    // time or after a lane win, and same-instant appends and cancels.
 
     #[test]
-    fn pops_in_order_across_level_boundaries() {
-        // Times straddling every power-of-64 boundary the wheel resolves.
+    fn pops_in_order_across_powers_of_64() {
+        // Times straddling every power of 64 up to 2^48 ns.
         let mut times = Vec::new();
-        for level in 0..LEVELS as u32 {
-            let edge = 1u64 << (LEVEL_BITS * (level + 1));
+        for k in 1..=8u32 {
+            let edge = 1u64 << (6 * k);
             times.extend_from_slice(&[edge - 1, edge, edge + 1]);
         }
         let mut q = EventQueue::new();
-        // Insert in reverse so the wheel cannot get the order for free.
+        // Insert in reverse so insertion order gives nothing away.
         for (i, &t) in times.iter().rev().enumerate() {
             q.schedule(SimTime::from_nanos(t), (t, i));
         }
@@ -1538,9 +1064,8 @@ mod tests {
     }
 
     #[test]
-    fn far_future_overflow_round_trips() {
-        // 2^48 ns ≈ 3.26 days; a year-away event must take the overflow
-        // path and still pop in order, FIFO at its instant.
+    fn far_future_events_round_trip() {
+        // A year-away event pops in order, FIFO at its instant.
         let mut q = EventQueue::new();
         let year = SimTime::from_secs(365 * 24 * 3600);
         q.schedule(year, "far-a");
@@ -1555,7 +1080,7 @@ mod tests {
     }
 
     #[test]
-    fn overflow_slot_cancellation_never_fires() {
+    fn far_future_slot_cancellation_never_fires() {
         let mut q = EventQueue::new();
         let s = q.alloc_slot();
         let far = SimTime::from_secs(30 * 24 * 3600);
@@ -1568,10 +1093,9 @@ mod tests {
     }
 
     #[test]
-    fn schedule_below_cursor_after_peek_pops_first() {
-        // Peeking walks the wheel cursor to the next event; a later
-        // schedule between the external clock and that cursor must still
-        // pop first (merged into the batch below the cursor).
+    fn schedule_below_a_peeked_time_pops_first() {
+        // A peek consumes nothing: events scheduled afterwards between
+        // the clock and the peeked time still pop first.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(10), "late");
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(10)));
@@ -1582,28 +1106,19 @@ mod tests {
     }
 
     #[test]
-    fn schedule_below_cursor_after_lane_win_merges_in_order() {
-        // A pop can walk the cursor past the clock too: refill surfaces a
-        // wheel event, a lane entry beats it, and the surfaced event
-        // stays pending above the new clock.
+    fn schedules_after_a_lane_win_pop_in_order() {
+        // A lane entry beats a pending plain event; plain events and a
+        // re-arm then land between the new clock and that event.
         let mut q = EventQueue::new();
         let s = q.alloc_slot();
         q.schedule(SimTime::from_nanos(100), "a");
         q.schedule(SimTime::from_nanos(190), "b");
-        // Served straight off the wheel; the cached bound drops to the
-        // start of b's bucket (128 ns).
         assert_eq!(q.pop().unwrap().event, "a");
-        // 150 ns is past the cached bound, so the pop refills to b at
-        // 190 ns before the lane entry wins.
         q.schedule_in_slot(s, SimTime::from_nanos(150), "lane");
         assert_eq!(q.pop().unwrap().event, "lane");
         assert_eq!(q.now(), SimTime::from_nanos(150));
-        assert!(
-            q.wheel_now > q.now().as_nanos(),
-            "cursor ran ahead of the clock"
-        );
-        // Plain events at two distinct instants below the cursor, one at
-        // the clock itself, one at the cursor, and a slot re-arm.
+        // Plain events at two distinct instants before b, one at the
+        // clock itself, one at b's instant, and a slot re-arm.
         for (t, e) in [(170, "c"), (160, "d"), (150, "e"), (190, "f"), (160, "g")] {
             q.schedule(SimTime::from_nanos(t), e);
             assert!(q.validate().is_empty(), "{:?}", q.validate());
@@ -1630,9 +1145,9 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_appends_during_batch_service() {
+    fn same_instant_appends_pop_in_insertion_order() {
         // Pop one event of an instant, then schedule more at that same
-        // instant: they extend the current batch in insertion order.
+        // instant: they follow the rest of the instant in insertion order.
         let mut q = EventQueue::new();
         let t = SimTime::from_micros(77);
         q.schedule(t, 0);
@@ -1647,14 +1162,14 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_inside_the_served_batch_is_skipped() {
+    fn cancellation_inside_a_served_instant_is_skipped() {
         let mut q = EventQueue::new();
         let s = q.alloc_slot();
         let t = SimTime::from_micros(5);
         q.schedule(t, "a");
         q.schedule_in_slot(s, t, "doomed");
         q.schedule(t, "b");
-        assert_eq!(q.pop().unwrap().event, "a"); // batch now being served
+        assert_eq!(q.pop().unwrap().event, "a"); // the instant is being served
         q.cancel_slot(s);
         assert_eq!(q.pop().unwrap().event, "b");
         assert_eq!(q.pop(), None);

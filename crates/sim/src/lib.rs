@@ -18,6 +18,7 @@
 
 // Hot-path crate: performance-relevant clippy lints are hard errors.
 #![deny(clippy::perf)]
+#![warn(missing_docs)]
 
 pub mod events;
 pub mod ordering;

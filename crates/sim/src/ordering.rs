@@ -50,7 +50,12 @@ pub enum OrderingPolicy {
     SeededShuffle(u64),
     /// Enumerate same-instant permutations up to batch size `k`;
     /// `prefix` replays a specific path through the choice tree.
-    Exhaustive { k: u32, prefix: Vec<u32> },
+    Exhaustive {
+        /// Widest same-instant batch that branches; wider ones serve FIFO.
+        k: u32,
+        /// Branch choices to replay, one per branch point, in order.
+        prefix: Vec<u32>,
+    },
 }
 
 impl OrderingPolicy {

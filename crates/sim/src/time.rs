@@ -25,8 +25,11 @@ pub struct SimTime(u64);
 )]
 pub struct SimDuration(u64);
 
+/// Nanoseconds in one microsecond.
 pub const NANOS_PER_MICRO: u64 = 1_000;
+/// Nanoseconds in one millisecond.
 pub const NANOS_PER_MILLI: u64 = 1_000_000;
+/// Nanoseconds in one second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 impl SimTime {

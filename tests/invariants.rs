@@ -291,7 +291,7 @@ fn post_migration_block_is_respected() {
         Box::new(bal),
         3,
     );
-    sys.enable_migration_log();
+    sys.enable_tracing();
     let g = sys.new_group();
     let spec = ep_modified(SimDuration::from_secs(5), SimDuration::from_secs(5), 7);
     SpmdApp::spawn(&mut sys, g, &spec.spmd(7, WaitMode::Yield, 0.2), None);
