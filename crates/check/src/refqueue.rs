@@ -235,9 +235,10 @@ pub fn differential_queue_case_with(
     n_ops: usize,
     profile: DeltaProfile,
 ) -> Result<QueueCaseStats, String> {
-    // The peek coin draws from a stream of its own, so each seed's op
-    // stream stays as it is.
+    // The peek coin and the pop-deadline coin draw from streams of their
+    // own, so neither takes draws from the op stream.
     let mut peek_coin = SimRng::new(seed ^ 0x5045_454B); // "PEEK"
+    let mut bound_coin = SimRng::new(seed ^ 0x0042_4F55_4E44); // "BOUND"
     let mut rng = SimRng::new(seed ^ 0x5245_4651); // "REFQ"
     let mut fast: EventQueue<u64> = EventQueue::new();
     let mut slow: PostedQueue<u64> = PostedQueue::new();
@@ -252,15 +253,24 @@ pub fn differential_queue_case_with(
         ..Default::default()
     };
 
+    // With a coin, a pop is unbounded or bounded by the reference's next
+    // event time (due) or the instant before it (not due).
     let check_pops = |fast: &mut EventQueue<u64>,
                       slow: &mut PostedQueue<u64>,
+                      bound_coin: Option<&mut SimRng>,
                       op: usize|
      -> Result<(), String> {
-        let f = fast.pop().map(|e| (e.time, e.event));
-        let s = slow.pop();
+        let next = slow.peek_time().unwrap_or(SimTime::MAX);
+        let deadline = match bound_coin.map(|coin| coin.next_below(3)) {
+            None | Some(0) => SimTime::MAX,
+            Some(1) => next,
+            Some(_) => SimTime::from_nanos(next.as_nanos().saturating_sub(1)),
+        };
+        let f = fast.pop_until(deadline).map(|e| (e.time, e.event));
+        let s = if next <= deadline { slow.pop() } else { None };
         if f != s {
             return Err(format!(
-                "op {op}: pop diverged — production {f:?} vs reference {s:?}"
+                "op {op}: pop until {deadline:?} diverged — production {f:?} vs reference {s:?}"
             ));
         }
         Ok(())
@@ -295,7 +305,7 @@ pub fn differential_queue_case_with(
             slow.cancel_slot(slow_slots[k]);
             stats.cancellations += 1;
         } else {
-            check_pops(&mut fast, &mut slow, op)?;
+            check_pops(&mut fast, &mut slow, Some(&mut bound_coin), op)?;
             stats.pops += 1;
         }
         if fast.len() != slow.len() {
@@ -334,7 +344,7 @@ pub fn differential_queue_case_with(
 
     // Drain both to the end: the full pop stream must match.
     while !fast.is_empty() || !slow.is_empty() {
-        check_pops(&mut fast, &mut slow, n_ops)?;
+        check_pops(&mut fast, &mut slow, None, n_ops)?;
         stats.pops += 1;
     }
     stats.slots = fast_slots.len();

@@ -723,11 +723,7 @@ impl NativeSpeedBalancer {
                 });
             }
         });
-        let trace = shared.trace.map(|m| {
-            let mut buf = m.into_inner();
-            buf.flush();
-            buf
-        });
+        let trace = shared.trace.map(|m| m.into_inner());
         (shared.stats, trace)
     }
 }
@@ -1028,8 +1024,7 @@ mod tests {
         }
         assert_eq!(shared.stats.migrations.load(Ordering::Relaxed), 1);
         assert_eq!(mock.thread_cpu(1), Some(1), "core 1 pulled from core 0");
-        let mut trace = shared.trace.as_ref().expect("traced").lock();
-        trace.flush();
+        let trace = shared.trace.as_ref().expect("traced").lock();
         let outcomes: Vec<_> = trace
             .records()
             .filter_map(|rec| match rec.event {

@@ -640,23 +640,14 @@ impl System {
     }
 
     /// The trace collected so far (None unless tracing is enabled).
-    /// Flushes staged records first so the view is exact.
-    pub fn trace(&mut self) -> Option<&TraceBuffer> {
-        if let Some(buf) = self.trace.as_deref_mut() {
-            buf.flush();
-        }
+    pub fn trace(&self) -> Option<&TraceBuffer> {
         self.trace.as_deref()
     }
 
-    /// Detaches and returns the trace buffer (flushed), turning tracing
-    /// off.
+    /// Detaches and returns the trace buffer, turning tracing off.
     pub fn take_trace(&mut self) -> Option<TraceBuffer> {
         self.sampler_armed = false;
-        self.trace.take().map(|b| {
-            let mut b = *b;
-            b.flush();
-            b
-        })
+        self.trace.take().map(|b| *b)
     }
 
     /// Records a trace event stamped with the current time (no-op when
@@ -671,12 +662,10 @@ impl System {
     /// The migrations recorded so far (empty unless tracing is enabled),
     /// reconstructed from `Migrate` trace records. Wake placements are
     /// excluded, matching `total_migrations` accounting.
-    pub fn migration_log(&mut self) -> Vec<MigrationRecord> {
-        let Some(buf) = self.trace.as_deref_mut() else {
+    pub fn migration_log(&self) -> Vec<MigrationRecord> {
+        let Some(buf) = self.trace.as_deref() else {
             return Vec::new();
         };
-        buf.flush();
-        let buf = &*buf;
         buf.records()
             .filter_map(|rec| match rec.event {
                 TraceEvent::Migrate {
@@ -1001,8 +990,15 @@ impl System {
     // ------------------------------------------------------------------
 
     /// Processes a single event. Returns false when no events remain.
+    #[inline]
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.events.pop() else {
+        self.step_until(SimTime::MAX)
+    }
+
+    /// Processes the next event if it is due at or before `deadline`.
+    /// Returns false when none is (events after it stay pending).
+    fn step_until(&mut self, deadline: SimTime) -> bool {
+        let Some(ev) = self.events.pop_until(deadline) else {
             return false;
         };
         self.events_processed += 1;
@@ -1049,28 +1045,14 @@ impl System {
     /// Runs until `group` finishes or the system goes quiescent or `deadline`
     /// passes. Returns the group completion time if it finished.
     pub fn run_until_group_done(&mut self, group: GroupId, deadline: SimTime) -> Option<SimTime> {
-        loop {
-            if let Some(t) = self.groups[group.0].finished_at {
-                return Some(t);
-            }
-            match self.events.peek_time() {
-                Some(t) if t <= deadline => {
-                    self.step();
-                }
-                _ => return self.groups[group.0].finished_at,
-            }
-        }
+        while self.groups[group.0].finished_at.is_none() && self.step_until(deadline) {}
+        self.groups[group.0].finished_at
     }
 
     /// Runs until simulated `deadline` (events after it stay pending) and
     /// advances the clock to exactly `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.events.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
+        while self.step_until(deadline) {}
         self.events.advance_to(deadline);
     }
 

@@ -1,7 +1,8 @@
-//! Traced steady-state allocation test: the ring-buffer trace fast path
-//! stages POD records and folds them into aggregates in bulk, so once the
-//! ring has reached capacity and the staging vector has been sized, a
-//! traced step must be as allocation-free as an untraced one.
+//! Traced steady-state allocation test: the trace sink folds each record
+//! into its aggregates and encodes it in place into the compact ring, so
+//! once the ring has reached capacity and its byte buffer has been sized
+//! (by the first compaction of evicted bytes), a traced step must be as
+//! allocation-free as an untraced one.
 //!
 //! Mirrors `alloc_free.rs` (same counting allocator, same two-window
 //! filter for the one-shot lazy-init pair) but runs with tracing enabled
@@ -68,7 +69,7 @@ fn traced_steady_state_step_does_not_allocate() {
         sys.spawn(SpawnSpec::new(Box::new(program), format!("spin{i}"), g));
     }
 
-    // Warm-up: fill the ring, size the staging vector, stabilize the heap.
+    // Warm-up: fill the ring, compact it once, stabilize the heap.
     for _ in 0..20_000 {
         assert!(sys.step(), "compute loops must keep the queue busy");
     }

@@ -49,7 +49,7 @@ use crate::ordering::OrderingPolicy;
 use crate::rng::SimRng;
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt::Debug;
 
 /// An event plus its scheduled time, as returned by [`EventQueue::pop`].
@@ -506,29 +506,44 @@ impl<E> EventQueue<E> {
         (key != VACANT).then(|| key_time(key))
     }
 
-    /// Pops the earliest event and advances the clock to its time.
-    /// Under a non-FIFO [`OrderingPolicy`] the event served is the
-    /// policy's pick among every event at the earliest instant; the
-    /// clock still advances identically (reordering permutes within
-    /// instants, never across them).
+    /// Pops the earliest event and advances the clock to its time:
+    /// [`EventQueue::pop_until`] with no deadline.
+    #[inline]
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Pops the earliest event if it is due at or before `deadline` and
+    /// advances the clock to its time; otherwise returns `None` and
+    /// leaves the queue as it was. One pass decides both, so a deadline
+    /// loop needs no [`EventQueue::peek_time`] per step. Under a non-FIFO
+    /// [`OrderingPolicy`] the event served is the policy's pick among
+    /// every event at the earliest instant; the clock still advances
+    /// identically (reordering permutes within instants, never across
+    /// them).
+    #[inline]
+    pub fn pop_until(&mut self, deadline: SimTime) -> Option<ScheduledEvent<E>> {
         if self.reorder.is_some() {
-            return self.pop_reordered();
+            return self.pop_reordered(deadline);
         }
-        self.pop_fifo()
+        self.pop_fifo(deadline)
     }
 
     /// The committed `(time, seq)` FIFO pop: the lesser of the lane
-    /// minimum and the heap top. This *is* [`EventQueue::pop`] when no
-    /// reordering policy is set, and the pull primitive of
-    /// [`EventQueue::pop_reordered`] when one is.
+    /// minimum and the heap top, if due by `deadline`. This *is*
+    /// [`EventQueue::pop_until`] when no reordering policy is set, and the
+    /// pull primitive of [`EventQueue::pop_reordered`] when one is.
     #[inline]
-    fn pop_fifo(&mut self) -> Option<ScheduledEvent<E>> {
+    fn pop_fifo(&mut self, deadline: SimTime) -> Option<ScheduledEvent<E>> {
+        // The greatest key due by `deadline`: the vacant key itself at
+        // `SimTime::MAX`, which an empty heap and lane never get past.
+        let last = key(deadline, u64::MAX);
         let lane = self.lane_min();
         if lane.key < self.heap_min() {
-            return Some(self.serve_lane(lane.slot as usize));
+            return (lane.key <= last).then(|| self.serve_lane(lane.slot as usize));
         }
-        let Plain { key, event } = self.heap.pop()?;
+        let top = self.heap.peek_mut().filter(|top| top.key <= last)?;
+        let Plain { key, event } = PeekMut::pop(top);
         let time = key_time(key);
         self.served_slot = NO_SLOT;
         debug_assert!(time >= self.now, "queue order violated");
@@ -544,16 +559,17 @@ impl<E> EventQueue<E> {
     /// already-served events join the candidate set — a legal pick,
     /// since their causes have fired, exactly as FIFO would serve them
     /// after the events already pending at that instant.
-    fn pop_reordered(&mut self) -> Option<ScheduledEvent<E>> {
+    fn pop_reordered(&mut self, deadline: SimTime) -> Option<ScheduledEvent<E>> {
         if self.stash_live == 0 {
             self.stash.clear();
-            match self.peek_time_queue() {
-                Some(t) => self.stash_time = t,
-                None => return None,
-            }
+            self.stash_time = self.peek_time_queue()?;
         }
-        while self.peek_time_queue() == Some(self.stash_time) {
-            let e = self.pop_fifo().expect("peeked event vanished");
+        if self.stash_time > deadline {
+            return None;
+        }
+        // Nothing pending is earlier than the open instant, so the events
+        // due by its time are exactly the ones at it.
+        while let Some(e) = self.pop_fifo(self.stash_time) {
             debug_assert_eq!(e.time, self.stash_time);
             self.stash.push(StashEntry {
                 slot: self.served_slot,
@@ -839,6 +855,32 @@ mod tests {
         q.schedule(SimTime::from_millis(7), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(7)));
         assert_eq!(q.now(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn pop_until_serves_only_what_is_due() {
+        let mut q = EventQueue::new();
+        let slot = q.alloc_slot();
+        let ms = SimTime::from_millis;
+        q.schedule(ms(10), "heap@10");
+        q.schedule_in_slot(slot, ms(20), "lane@20");
+        q.schedule(ms(30), "heap@30");
+        assert_eq!(q.pop_until(ms(9)), None);
+        assert_eq!(
+            (q.now(), q.len()),
+            (SimTime::ZERO, 3),
+            "a refusal changes nothing"
+        );
+        assert_eq!(q.pop_until(ms(10)).unwrap().event, "heap@10");
+        // The lane entry is the earliest; a deadline before it refuses it.
+        assert_eq!(q.pop_until(SimTime::from_nanos(19_999_999)), None);
+        assert!(q.slot_armed(slot));
+        assert_eq!(q.pop_until(ms(25)).unwrap().event, "lane@20");
+        assert_eq!(q.pop_until(ms(25)), None);
+        assert_eq!(q.now(), ms(20));
+        assert!(q.validate().is_empty(), "{:?}", q.validate());
+        assert_eq!(q.pop_until(SimTime::MAX).unwrap().event, "heap@30");
+        assert_eq!(q.pop_until(SimTime::MAX), None);
     }
 
     #[test]
@@ -1262,6 +1304,27 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(7)));
         assert_eq!(q.pop().unwrap().event, 9);
         assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn reordered_pop_until_holds_back_later_instants() {
+        let mut q = EventQueue::new();
+        q.set_ordering(OrderingPolicy::Lifo);
+        let (t, later) = (SimTime::from_millis(3), SimTime::from_millis(7));
+        for i in 0..3 {
+            q.schedule(t, i);
+        }
+        q.schedule(later, 9);
+        assert_eq!(q.pop_until(SimTime::from_millis(2)), None);
+        assert_eq!(q.pop_until(t).unwrap().event, 2);
+        // The open instant is served to its end; the next one waits.
+        assert_eq!(q.pop_until(t).unwrap().event, 1);
+        assert_eq!(q.pop_until(t).unwrap().event, 0);
+        assert_eq!(q.pop_until(SimTime::from_millis(6)), None);
+        assert_eq!(q.len(), 1);
+        assert!(q.validate().is_empty(), "{:?}", q.validate());
+        assert_eq!(q.pop_until(later).unwrap().event, 9);
         assert!(q.is_empty());
     }
 

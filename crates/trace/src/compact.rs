@@ -48,22 +48,92 @@ const FAULT_KINDS: [ProcFaultKind; 4] = [
 const DROP_REASONS: [RequestDropReason; 2] =
     [RequestDropReason::QueueFull, RequestDropReason::ShedTimeout];
 
-/// Stack scratch one record is encoded into before a single
-/// `extend_from_slice` appends it to the ring: per-byte `Vec::push`
-/// (capacity check + cold-path call each) is what made the naive encoder
-/// show up in profiles. 96 bytes covers the worst case (`Migrate` with a
-/// `SpeedPull` reason: ~81 bytes of maximal varints and floats).
-struct Scratch {
-    buf: [u8; 96],
+/// Room for the longest encoding of one record: a `Migrate` with a
+/// `SpeedPull` reason takes a tag, five maximal varints (time delta, core,
+/// task, from, to: 10 bytes each), one-byte tier and reason indices and
+/// three raw floats, 77 bytes.
+const MAX_RECORD: usize = 96;
+/// Bytes the ring's writable room grows by once fewer than [`MAX_RECORD`]
+/// remain past the tail: a few hundred records per growth, and at most
+/// this much memory touched ahead of the encoded bytes.
+const GROW: usize = 4096;
+
+/// The retained records, varint-encoded oldest-first, with the intern
+/// table their `BalancerActivation` policy labels refer to.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Ring {
+    /// `bytes[head..tail]` holds `count` records; `bytes[tail..]` is room
+    /// [`Ring::push`] encodes straight into, never copying a record. The
+    /// dead prefix is compacted away once it outweighs the live bytes.
+    bytes: Vec<u8>,
+    head: usize,
+    tail: usize,
+    count: usize,
+    /// Timestamp base (ns) for decoding the record at `head`.
+    head_ns: u64,
+    /// Timestamp (ns) of the newest record: the delta base of the next.
+    tail_ns: u64,
+    /// Interned `BalancerActivation` policy labels, by varint id.
+    policies: Vec<&'static str>,
+}
+
+impl Ring {
+    /// Number of retained records.
+    pub(crate) fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Appends one record, encoded in place past the tail.
+    pub(crate) fn push(&mut self, time: SimTime, core: CoreId, event: &TraceEvent) {
+        if self.bytes.len() < self.tail + MAX_RECORD {
+            self.bytes.resize(self.tail + MAX_RECORD + GROW, 0);
+        }
+        let room = self.bytes[self.tail..]
+            .first_chunk_mut::<MAX_RECORD>()
+            .expect("room for the longest record was made above");
+        let mut w = Writer { buf: room, n: 0 };
+        encode(&mut w, self.tail_ns, time, core, event, &mut self.policies);
+        self.tail += w.n;
+        self.tail_ns = time.as_nanos();
+        self.count += 1;
+    }
+
+    /// Drops the oldest record (no-op on an empty ring), sliding the
+    /// encoded bytes left once the dead prefix outweighs the live ones so
+    /// the buffer stays bounded without per-eviction copying.
+    pub(crate) fn pop_front(&mut self) {
+        let mut oldest = self.records();
+        if oldest.next().is_none() {
+            return;
+        }
+        (self.head, self.head_ns) = (oldest.pos, oldest.time_ns);
+        self.count -= 1;
+        if self.head >= 1 << 16 && self.head >= self.tail - self.head {
+            self.bytes.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+    }
+
+    /// The retained records, oldest first.
+    pub(crate) fn records(&self) -> Records<'_> {
+        Records {
+            bytes: &self.bytes[..self.tail],
+            policies: &self.policies,
+            pos: self.head,
+            time_ns: self.head_ns,
+            remaining: self.count,
+        }
+    }
+}
+
+/// One record's bytes being written at the ring's tail.
+struct Writer<'a> {
+    buf: &'a mut [u8; MAX_RECORD],
     n: usize,
 }
 
-impl Scratch {
-    #[inline]
-    fn new() -> Scratch {
-        Scratch { buf: [0; 96], n: 0 }
-    }
-
+impl Writer<'_> {
     #[inline]
     fn u8(&mut self, b: u8) {
         self.buf[self.n] = b;
@@ -97,43 +167,6 @@ impl Scratch {
     }
 }
 
-#[inline]
-fn get_u64(buf: &[u8], pos: &mut usize) -> u64 {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = buf[*pos];
-        *pos += 1;
-        v |= u64::from(b & 0x7F) << shift;
-        if b < 0x80 {
-            return v;
-        }
-        shift += 7;
-    }
-}
-
-#[inline]
-fn get_i64(buf: &[u8], pos: &mut usize) -> i64 {
-    let z = get_u64(buf, pos);
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
-
-#[inline]
-fn get_f64(buf: &[u8], pos: &mut usize) -> f64 {
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&buf[*pos..*pos + 8]);
-    *pos += 8;
-    f64::from_bits(u64::from_le_bytes(raw))
-}
-
-#[inline]
-fn get_opt(buf: &[u8], pos: &mut usize) -> Option<usize> {
-    match get_u64(buf, pos) {
-        0 => None,
-        t => Some((t - 1) as usize),
-    }
-}
-
 fn tier_index(level: DomainLevel) -> u64 {
     DomainLevel::ALL
         .iter()
@@ -141,12 +174,11 @@ fn tier_index(level: DomainLevel) -> u64 {
         .expect("DomainLevel::ALL is exhaustive") as u64
 }
 
-/// Appends one record to `out`. `prev_ns` is the timestamp of the
-/// previously encoded record (0 before the first); the caller advances it
-/// to `time.as_nanos()` afterwards. `policies` is the shared intern table
+/// Writes one record. `prev_ns` is the timestamp of the previously
+/// encoded record (0 before the first); `policies` is the intern table
 /// for `BalancerActivation` labels.
-pub(crate) fn encode(
-    out: &mut Vec<u8>,
+fn encode(
+    w: &mut Writer,
     prev_ns: u64,
     time: SimTime,
     core: CoreId,
@@ -173,7 +205,6 @@ pub(crate) fn encode(
         TraceEvent::Quarantined { .. } => 16,
         TraceEvent::FreqStep { .. } => 17,
     };
-    let mut w = Scratch::new();
     w.u8(tag);
     w.i64(time.as_nanos().wrapping_sub(prev_ns) as i64);
     w.u64(core.0 as u64);
@@ -316,153 +347,215 @@ pub(crate) fn encode(
         }
         TraceEvent::FreqStep { ratio } => w.f64(*ratio),
     }
-    out.extend_from_slice(&w.buf[..w.n]);
 }
 
-/// Decodes the record at `*pos`, advancing `pos` past it and `prev_ns` to
-/// the decoded timestamp. Inverse of [`encode`].
-pub(crate) fn decode(
-    buf: &[u8],
-    pos: &mut usize,
-    prev_ns: &mut u64,
-    policies: &[&'static str],
-) -> TraceRecord {
-    let tag = buf[*pos];
-    *pos += 1;
-    let t = prev_ns.wrapping_add(get_i64(buf, pos) as u64);
-    *prev_ns = t;
-    let time = SimTime::from_nanos(t);
-    let core = CoreId(get_u64(buf, pos) as usize);
-    let event = match tag {
-        0 => TraceEvent::Dispatch {
-            task: get_u64(buf, pos) as usize,
-        },
-        1 => TraceEvent::Desched {
-            task: get_u64(buf, pos) as usize,
-            ran: SimDuration::from_nanos(get_u64(buf, pos)),
-        },
-        2 => TraceEvent::Preempt {
-            task: get_u64(buf, pos) as usize,
-            by: get_u64(buf, pos) as usize,
-        },
-        3 => TraceEvent::Wake {
-            task: get_u64(buf, pos) as usize,
-        },
-        4 => TraceEvent::Sleep {
-            task: get_u64(buf, pos) as usize,
-        },
-        5 => TraceEvent::Exit {
-            task: get_u64(buf, pos) as usize,
-        },
-        6 => {
-            let task = get_u64(buf, pos) as usize;
-            let from = CoreId(get_u64(buf, pos) as usize);
-            let to = CoreId(get_u64(buf, pos) as usize);
-            let tier = DomainLevel::ALL[get_u64(buf, pos) as usize];
-            let reason = match get_u64(buf, pos) {
-                0 => MigrationReason::SpeedPull {
-                    local_speed: get_f64(buf, pos),
-                    remote_speed: get_f64(buf, pos),
-                    global_speed: get_f64(buf, pos),
-                },
-                1 => MigrationReason::LoadBalance {
-                    level: DomainLevel::ALL[get_u64(buf, pos) as usize],
-                },
-                2 => MigrationReason::NewIdle,
-                3 => MigrationReason::DwrrRound {
-                    round: get_u64(buf, pos),
-                },
-                4 => MigrationReason::UlePush,
-                5 => MigrationReason::UleSteal,
-                6 => MigrationReason::WakePlacement,
-                _ => MigrationReason::Unspecified,
-            };
-            TraceEvent::Migrate {
-                task,
-                from,
-                to,
-                tier,
-                reason,
-            }
-        }
-        7 => TraceEvent::SpeedSample {
-            task: get_opt(buf, pos),
-            speed: get_f64(buf, pos),
-        },
-        8 => TraceEvent::BalancerActivation {
-            policy: policies[get_u64(buf, pos) as usize],
-            local: get_f64(buf, pos),
-            global: get_f64(buf, pos),
-            outcome: OUTCOMES[get_u64(buf, pos) as usize],
-            jitter: SimDuration::from_nanos(get_u64(buf, pos)),
-        },
-        9 => TraceEvent::BarrierArrive {
-            task: get_u64(buf, pos) as usize,
-            cond: get_u64(buf, pos) as usize,
-            episode: get_u64(buf, pos),
-            arrived: get_u64(buf, pos) as usize,
-            parties: get_u64(buf, pos) as usize,
-        },
-        10 => TraceEvent::BarrierRelease {
-            task: get_u64(buf, pos) as usize,
-            cond: get_u64(buf, pos) as usize,
-            episode: get_u64(buf, pos),
-        },
-        11 => TraceEvent::ProcFault {
-            task: get_opt(buf, pos),
-            op: PROC_OPS[get_u64(buf, pos) as usize],
-            kind: FAULT_KINDS[get_u64(buf, pos) as usize],
-            attempt: get_u64(buf, pos) as u32,
-            retrying: get_u64(buf, pos) != 0,
-        },
-        12 => TraceEvent::RequestArrival {
-            request: get_u64(buf, pos) as usize,
-            arrival: SimTime::from_nanos(get_u64(buf, pos)),
-            queued: get_u64(buf, pos) as usize,
-        },
-        13 => TraceEvent::RequestDispatch {
-            request: get_u64(buf, pos) as usize,
-            subtask: get_u64(buf, pos) as usize,
-            wait: SimDuration::from_nanos(get_u64(buf, pos)),
-        },
-        14 => TraceEvent::RequestComplete {
-            request: get_u64(buf, pos) as usize,
-            latency: SimDuration::from_nanos(get_u64(buf, pos)),
-        },
-        15 => TraceEvent::RequestDrop {
-            request: get_u64(buf, pos) as usize,
-            reason: DROP_REASONS[get_u64(buf, pos) as usize],
-        },
-        16 => TraceEvent::Quarantined {
-            task: get_u64(buf, pos) as usize,
-            failures: get_u64(buf, pos) as u32,
-        },
-        _ => TraceEvent::FreqStep {
-            ratio: get_f64(buf, pos),
-        },
-    };
-    TraceRecord { time, core, event }
+/// Iterator over retained records, oldest first, decoding them out of the
+/// compact ring. Returned by [`TraceBuffer::records`](crate::TraceBuffer::records).
+///
+/// The decoder is this iterator's `next`: inlined into a consumer's loop,
+/// its tag dispatch and the consumer's `match` on the event fuse.
+#[derive(Debug, Clone)]
+pub struct Records<'a> {
+    bytes: &'a [u8],
+    policies: &'a [&'static str],
+    pos: usize,
+    time_ns: u64,
+    remaining: usize,
 }
+
+impl Records<'_> {
+    #[inline]
+    fn byte(&mut self) -> u8 {
+        let b = self.bytes[self.pos];
+        self.pos += 1;
+        b
+    }
+
+    /// One LEB128 varint; a value below 128 takes the one-byte path.
+    #[inline]
+    fn u64(&mut self) -> u64 {
+        let b = self.byte();
+        if b < 0x80 {
+            return u64::from(b);
+        }
+        let mut v = u64::from(b & 0x7F);
+        let mut shift = 7;
+        loop {
+            let b = self.byte();
+            v |= u64::from(b & 0x7F) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
+    #[inline]
+    fn usize(&mut self) -> usize {
+        self.u64() as usize
+    }
+
+    #[inline]
+    fn i64(&mut self) -> i64 {
+        let z = self.u64();
+        ((z >> 1) as i64) ^ -((z & 1) as i64)
+    }
+
+    #[inline]
+    fn f64(&mut self) -> f64 {
+        let raw = self.bytes[self.pos..]
+            .first_chunk::<8>()
+            .expect("a float's eight bytes were encoded");
+        self.pos += 8;
+        f64::from_bits(u64::from_le_bytes(*raw))
+    }
+
+    #[inline]
+    fn opt(&mut self) -> Option<usize> {
+        match self.u64() {
+            0 => None,
+            t => Some((t - 1) as usize),
+        }
+    }
+}
+
+impl Iterator for Records<'_> {
+    type Item = TraceRecord;
+
+    /// Decodes the next record: the inverse of `encode`.
+    #[inline]
+    fn next(&mut self) -> Option<TraceRecord> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let tag = self.byte();
+        self.time_ns = self.time_ns.wrapping_add(self.i64() as u64);
+        let time = SimTime::from_nanos(self.time_ns);
+        let core = CoreId(self.usize());
+        let event = match tag {
+            0 => TraceEvent::Dispatch { task: self.usize() },
+            1 => TraceEvent::Desched {
+                task: self.usize(),
+                ran: SimDuration::from_nanos(self.u64()),
+            },
+            2 => TraceEvent::Preempt {
+                task: self.usize(),
+                by: self.usize(),
+            },
+            3 => TraceEvent::Wake { task: self.usize() },
+            4 => TraceEvent::Sleep { task: self.usize() },
+            5 => TraceEvent::Exit { task: self.usize() },
+            6 => {
+                let task = self.usize();
+                let from = CoreId(self.usize());
+                let to = CoreId(self.usize());
+                let tier = DomainLevel::ALL[self.usize()];
+                let reason = match self.u64() {
+                    0 => MigrationReason::SpeedPull {
+                        local_speed: self.f64(),
+                        remote_speed: self.f64(),
+                        global_speed: self.f64(),
+                    },
+                    1 => MigrationReason::LoadBalance {
+                        level: DomainLevel::ALL[self.usize()],
+                    },
+                    2 => MigrationReason::NewIdle,
+                    3 => MigrationReason::DwrrRound { round: self.u64() },
+                    4 => MigrationReason::UlePush,
+                    5 => MigrationReason::UleSteal,
+                    6 => MigrationReason::WakePlacement,
+                    _ => MigrationReason::Unspecified,
+                };
+                TraceEvent::Migrate {
+                    task,
+                    from,
+                    to,
+                    tier,
+                    reason,
+                }
+            }
+            7 => TraceEvent::SpeedSample {
+                task: self.opt(),
+                speed: self.f64(),
+            },
+            8 => TraceEvent::BalancerActivation {
+                policy: {
+                    let id = self.usize();
+                    self.policies[id]
+                },
+                local: self.f64(),
+                global: self.f64(),
+                outcome: OUTCOMES[self.usize()],
+                jitter: SimDuration::from_nanos(self.u64()),
+            },
+            9 => TraceEvent::BarrierArrive {
+                task: self.usize(),
+                cond: self.usize(),
+                episode: self.u64(),
+                arrived: self.usize(),
+                parties: self.usize(),
+            },
+            10 => TraceEvent::BarrierRelease {
+                task: self.usize(),
+                cond: self.usize(),
+                episode: self.u64(),
+            },
+            11 => TraceEvent::ProcFault {
+                task: self.opt(),
+                op: PROC_OPS[self.usize()],
+                kind: FAULT_KINDS[self.usize()],
+                attempt: self.u64() as u32,
+                retrying: self.u64() != 0,
+            },
+            12 => TraceEvent::RequestArrival {
+                request: self.usize(),
+                arrival: SimTime::from_nanos(self.u64()),
+                queued: self.usize(),
+            },
+            13 => TraceEvent::RequestDispatch {
+                request: self.usize(),
+                subtask: self.usize(),
+                wait: SimDuration::from_nanos(self.u64()),
+            },
+            14 => TraceEvent::RequestComplete {
+                request: self.usize(),
+                latency: SimDuration::from_nanos(self.u64()),
+            },
+            15 => TraceEvent::RequestDrop {
+                request: self.usize(),
+                reason: DROP_REASONS[self.usize()],
+            },
+            16 => TraceEvent::Quarantined {
+                task: self.usize(),
+                failures: self.u64() as u32,
+            },
+            _ => TraceEvent::FreqStep { ratio: self.f64() },
+        };
+        Some(TraceRecord { time, core, event })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Records<'_> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn roundtrip(records: &[TraceRecord]) {
-        let mut out = Vec::new();
-        let mut policies = Vec::new();
-        let mut prev = 0u64;
+        let mut ring = Ring::default();
         for r in records {
-            encode(&mut out, prev, r.time, r.core, &r.event, &mut policies);
-            prev = r.time.as_nanos();
+            ring.push(r.time, r.core, &r.event);
         }
-        let mut pos = 0;
-        let mut t = 0u64;
+        let mut decoded = ring.records();
         for r in records {
-            let got = decode(&out, &mut pos, &mut t, &policies);
-            assert_eq!(&got, r);
+            assert_eq!(decoded.next().as_ref(), Some(r));
         }
-        assert_eq!(pos, out.len(), "decoder consumed every byte");
+        assert_eq!(decoded.pos, ring.tail, "decoder consumed every byte");
     }
 
     #[test]
@@ -640,16 +733,41 @@ mod tests {
 
     #[test]
     fn common_records_encode_small() {
-        let mut out = Vec::new();
-        let mut policies = Vec::new();
-        encode(
-            &mut out,
-            1_000_000,
+        let mut ring = Ring::default();
+        ring.push(
+            SimTime::from_nanos(1_000_000),
+            CoreId(7),
+            &TraceEvent::Wake { task: 1 },
+        );
+        let before = ring.tail;
+        ring.push(
             SimTime::from_nanos(1_000_500),
             CoreId(7),
             &TraceEvent::Dispatch { task: 42 },
-            &mut policies,
         );
-        assert!(out.len() <= 6, "dispatch took {} bytes", out.len());
+        let len = ring.tail - before;
+        assert!(len <= 6, "dispatch took {len} bytes");
+    }
+
+    #[test]
+    fn eviction_compacts_and_keeps_decoding() {
+        let mut ring = Ring::default();
+        let at = |i: u64| SimTime::from_nanos(1_000 * i);
+        for i in 0..40_000 {
+            ring.push(
+                at(i),
+                CoreId(i as usize % 3),
+                &TraceEvent::Wake { task: i as usize },
+            );
+            if ring.len() > 1_000 {
+                ring.pop_front();
+            }
+        }
+        assert!(ring.head < 1 << 16, "the dead prefix was compacted away");
+        let kept: Vec<_> = ring.records().map(|r| r.time).collect();
+        assert_eq!(kept, (39_000..40_000).map(at).collect::<Vec<_>>());
+        let mut empty = Ring::default();
+        empty.pop_front();
+        assert_eq!(empty.len(), 0);
     }
 }

@@ -1,10 +1,12 @@
-//! The trace sink: a bounded ring of [`TraceRecord`]s plus aggregates
-//! (counters, migration histograms, per-task time-in-state, per-core and
-//! per-task speed statistics) maintained incrementally at record time, so
-//! summaries survive even when the ring has wrapped.
+//! The trace sink: a bounded ring of [`TraceRecord`](crate::TraceRecord)s
+//! plus aggregates (counters, migration histograms, per-task
+//! time-in-state, per-core and per-task speed statistics) maintained
+//! incrementally at record time, so summaries survive even when the ring
+//! has wrapped.
 
-use crate::compact;
-use crate::event::{MigrationReason, ProcFaultKind, RequestDropReason, TraceEvent, TraceRecord};
+pub use crate::compact::Records;
+use crate::compact::Ring;
+use crate::event::{MigrationReason, ProcFaultKind, RequestDropReason, TraceEvent};
 use speedbal_machine::{CoreId, DomainLevel};
 use speedbal_sim::{SimDuration, SimTime};
 
@@ -181,44 +183,18 @@ fn tier_index(level: DomainLevel) -> usize {
         .expect("DomainLevel::ALL is exhaustive")
 }
 
-/// Capacity of the staging area `record` appends to: large enough to
-/// amortize the aggregate machinery across a whole batch, small enough
-/// (~12 kB of POD records) to stay resident in L1.
-const STAGE_CAP: usize = 256;
-
-/// The event sink. `record` is a plain append of one POD [`TraceRecord`]
-/// into a fixed-size staging buffer; [`TraceBuffer::flush`] folds staged
-/// records into the ring and aggregates (counters, time-in-state, speed
-/// series) in one tight batch, so the expensive per-event bookkeeping runs
-/// with hot branch predictors and instruction cache instead of interleaved
-/// with the simulator's event loop. Readers see exact aggregates: every
-/// accessor asserts the buffer has been flushed, and the simulator flushes
-/// whenever a buffer is handed out.
+/// The event sink. [`TraceBuffer::record`] applies each record at once:
+/// it folds the record into the aggregates (counters, time-in-state, speed
+/// series) and encodes it into the compact ring, so every reader sees
+/// exact state.
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuffer {
     cfg: TraceConfig,
-    /// Records appended by `record` but not yet folded into the ring and
-    /// aggregates. Order is preserved by `flush`, so the observable state
-    /// after a flush is byte-identical to per-record application.
-    staged: Vec<TraceRecord>,
     /// Retained records, varint-encoded oldest-first (see [`compact`]):
     /// the ring is the sink's bandwidth hot spot, and the compact form
-    /// cuts its traffic roughly tenfold versus storing [`TraceRecord`]s.
-    /// `ring[ring_head..]` holds `ring_count` records; the dead prefix is
-    /// compacted away once it outweighs the live bytes.
-    ring: Vec<u8>,
-    /// Byte offset of the oldest retained record within `ring`.
-    ring_head: usize,
-    /// Number of retained records.
-    ring_count: usize,
-    /// Timestamp base (ns) for decoding the record at `ring_head`.
-    head_time_ns: u64,
-    /// Timestamp (ns) of the newest encoded record (delta base for the
-    /// next append).
-    tail_time_ns: u64,
-    /// Interned `BalancerActivation` policy labels (referenced from the
-    /// ring by varint id).
-    policies: Vec<&'static str>,
+    /// cuts its traffic roughly tenfold versus storing
+    /// [`TraceRecord`](crate::TraceRecord)s.
+    ring: Ring,
     dropped: u64,
     /// High-volume records withheld from the ring by `sample_rate`.
     sampled_out: u64,
@@ -259,7 +235,6 @@ impl TraceBuffer {
         TraceBuffer {
             cfg,
             sample_state,
-            staged: Vec::with_capacity(STAGE_CAP),
             ..TraceBuffer::default()
         }
     }
@@ -325,48 +300,10 @@ impl TraceBuffer {
         self.life[task] = Some((to, now));
     }
 
-    /// Records one event: a single bounds check and one POD store into the
-    /// staging buffer. Aggregates and the ring catch up at the next
-    /// [`TraceBuffer::flush`] (triggered here only when the stage fills).
-    #[inline]
+    /// Records one event: folds it into every aggregate and, unless
+    /// sampled out, encodes it into the ring (evicting the oldest record
+    /// once the ring is at capacity).
     pub fn record(&mut self, time: SimTime, core: CoreId, event: TraceEvent) {
-        if self.staged.len() >= STAGE_CAP {
-            self.flush();
-        }
-        self.staged.push(TraceRecord { time, core, event });
-    }
-
-    /// Folds every staged record into the ring and aggregates, in record
-    /// order. Idempotent; readers must flush before consuming (the
-    /// simulator does this whenever it hands a buffer out).
-    pub fn flush(&mut self) {
-        if self.staged.is_empty() {
-            return;
-        }
-        // Detach the stage so `apply` can borrow the rest of self; handing
-        // the (still-allocated) vec back afterwards keeps steady-state
-        // flushes allocation-free.
-        let mut staged = std::mem::take(&mut self.staged);
-        for rec in staged.drain(..) {
-            self.apply(rec.time, rec.core, rec.event);
-        }
-        self.staged = staged;
-    }
-
-    /// Readers must observe exact aggregates; catch unflushed reads loudly
-    /// in debug builds.
-    #[inline]
-    fn assert_flushed(&self) {
-        debug_assert!(
-            self.staged.is_empty(),
-            "TraceBuffer read while {} records are staged: call flush() first",
-            self.staged.len()
-        );
-    }
-
-    /// Applies one record to the ring and every aggregate (the former
-    /// per-record `record` body, now run batchwise from `flush`).
-    fn apply(&mut self, time: SimTime, core: CoreId, event: TraceEvent) {
         self.first_time.get_or_insert(time);
         self.last_time = self.last_time.max(time);
         self.set_n_cores(core.0 + 1);
@@ -447,40 +384,11 @@ impl TraceBuffer {
             self.sampled_out += 1;
             return;
         }
-        if self.ring_count >= self.cfg.capacity {
-            self.evict_front();
+        if self.ring.len() >= self.cfg.capacity {
+            self.ring.pop_front();
             self.dropped += 1;
         }
-        compact::encode(
-            &mut self.ring,
-            self.tail_time_ns,
-            time,
-            core,
-            &event,
-            &mut self.policies,
-        );
-        self.tail_time_ns = time.as_nanos();
-        self.ring_count += 1;
-    }
-
-    /// Drops the oldest retained record (no-op on an empty ring, matching
-    /// `VecDeque::pop_front` on `None`), sliding the encoded bytes left
-    /// once the dead prefix outweighs the live ones so the buffer stays
-    /// bounded without per-eviction copying.
-    fn evict_front(&mut self) {
-        if self.ring_count == 0 {
-            return;
-        }
-        let mut pos = self.ring_head;
-        let mut t = self.head_time_ns;
-        let _ = compact::decode(&self.ring, &mut pos, &mut t, &self.policies);
-        self.ring_head = pos;
-        self.head_time_ns = t;
-        self.ring_count -= 1;
-        if self.ring_head >= 1 << 16 && self.ring_head >= self.ring.len() - self.ring_head {
-            self.ring.drain(..self.ring_head);
-            self.ring_head = 0;
-        }
+        self.ring.push(time, core, &event);
     }
 
     /// One draw of the deterministic sampling stream: keep with
@@ -499,131 +407,77 @@ impl TraceBuffer {
     /// Retained records, oldest first (decoded from the compact ring, so
     /// items are owned).
     pub fn records(&self) -> Records<'_> {
-        self.assert_flushed();
-        Records {
-            ring: &self.ring,
-            policies: &self.policies,
-            pos: self.ring_head,
-            time_ns: self.head_time_ns,
-            remaining: self.ring_count,
-        }
+        self.ring.records()
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.assert_flushed();
-        self.ring_count
+        self.ring.len()
     }
 
     /// True iff no records are retained.
     pub fn is_empty(&self) -> bool {
-        self.assert_flushed();
-        self.ring_count == 0
+        self.ring.len() == 0
     }
 
     /// Records evicted from the ring (aggregates still cover them).
     pub fn dropped(&self) -> u64 {
-        self.assert_flushed();
         self.dropped
     }
 
     /// High-volume records withheld from the ring by
     /// [`TraceConfig::sample_rate`] (aggregates still cover them).
     pub fn sampled_out(&self) -> u64 {
-        self.assert_flushed();
         self.sampled_out
     }
 
     /// Aggregate counters (cover dropped records too).
     pub fn counters(&self) -> &TraceCounters {
-        self.assert_flushed();
         &self.counters
     }
 
     /// Time-in-state aggregate for a task (zeroes if never seen).
     pub fn time_in_state(&self, task: usize) -> StateTimes {
-        self.assert_flushed();
         self.time_in_state.get(task).copied().unwrap_or_default()
     }
 
     /// Number of tasks ever seen by the sink.
     pub fn n_tasks(&self) -> usize {
-        self.assert_flushed();
         self.task_names.len()
     }
 
     /// Speed/utilization series statistics for a core.
     pub fn core_speed_stats(&self, core: CoreId) -> SeriesStats {
-        self.assert_flushed();
         self.core_speed.get(core.0).copied().unwrap_or_default()
     }
 
     /// Speed series statistics for a task.
     pub fn task_speed_stats(&self, task: usize) -> SeriesStats {
-        self.assert_flushed();
         self.task_speed.get(task).copied().unwrap_or_default()
     }
 
     /// End-to-end request latency statistics (milliseconds), covering
     /// every `RequestComplete` recorded, including dropped ring records.
     pub fn request_latency_stats(&self) -> SeriesStats {
-        self.assert_flushed();
         self.request_latency
     }
 
     /// Request queueing-delay statistics (milliseconds), one sample per
     /// subtask dispatch.
     pub fn request_wait_stats(&self) -> SeriesStats {
-        self.assert_flushed();
         self.request_wait
     }
 
     /// First recorded timestamp, if any event was recorded.
     pub fn start_time(&self) -> Option<SimTime> {
-        self.assert_flushed();
         self.first_time
     }
 
     /// Latest recorded timestamp.
     pub fn end_time(&self) -> SimTime {
-        self.assert_flushed();
         self.last_time
     }
 }
-
-/// Iterator over retained records, oldest first, decoding them out of the
-/// compact ring. Returned by [`TraceBuffer::records`].
-#[derive(Debug, Clone)]
-pub struct Records<'a> {
-    ring: &'a [u8],
-    policies: &'a [&'static str],
-    pos: usize,
-    time_ns: u64,
-    remaining: usize,
-}
-
-impl Iterator for Records<'_> {
-    type Item = TraceRecord;
-
-    fn next(&mut self) -> Option<TraceRecord> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        Some(compact::decode(
-            self.ring,
-            &mut self.pos,
-            &mut self.time_ns,
-            self.policies,
-        ))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for Records<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -642,7 +496,6 @@ mod tests {
         for i in 0..10 {
             buf.record(t(i), CoreId(0), TraceEvent::Wake { task: 0 });
         }
-        buf.flush();
         assert_eq!(buf.len(), 4);
         assert_eq!(buf.dropped(), 6);
         assert_eq!(buf.counters().wakes, 10, "aggregates cover drops");
@@ -667,7 +520,6 @@ mod tests {
         buf.record(t(10), CoreId(0), TraceEvent::Wake { task: 0 });
         buf.record(t(10), CoreId(0), TraceEvent::Dispatch { task: 0 });
         buf.record(t(11), CoreId(0), TraceEvent::Exit { task: 0 });
-        buf.flush();
         let s = buf.time_in_state(0);
         assert_eq!(s.running, SimDuration::from_millis(6));
         assert_eq!(s.runnable, SimDuration::from_millis(2));
@@ -703,7 +555,6 @@ mod tests {
                 },
             },
         );
-        buf.flush();
         let c = buf.counters();
         assert_eq!(c.migrations, 2);
         assert_eq!(c.migrations_by_tier[tier_index(DomainLevel::Cache)], 1);
@@ -759,7 +610,6 @@ mod tests {
                 failures: 3,
             },
         );
-        buf.flush();
         let c = buf.counters();
         assert_eq!(c.proc_faults, 2);
         assert_eq!(c.proc_retries, 1);
@@ -800,7 +650,6 @@ mod tests {
                 },
             );
         }
-        buf.flush();
         buf
     }
 
@@ -884,7 +733,6 @@ mod tests {
                 reason: RequestDropReason::QueueFull,
             },
         );
-        buf.flush();
         let c = buf.counters();
         assert_eq!(c.request_arrivals, 1);
         assert_eq!(c.request_dispatches, 1);

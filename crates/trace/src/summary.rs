@@ -202,7 +202,6 @@ mod tests {
                 speed: 0.8,
             },
         );
-        buf.flush();
         let text = render_summary(&buf);
         assert!(text.contains("trace summary"));
         assert!(text.contains("dispatches 1"));
@@ -233,7 +232,6 @@ mod tests {
                 failures: 3,
             },
         );
-        buf.flush();
         let text = render_summary(&buf);
         assert!(text.contains("proc faults 1"));
         assert!(text.contains("vanished=1"));
@@ -271,7 +269,6 @@ mod tests {
                 reason: RequestDropReason::ShedTimeout,
             },
         );
-        buf.flush();
         let text = render_summary(&buf);
         assert!(text.contains("requests: arrived 1"));
         assert!(text.contains("shed-timeout=1"));

@@ -93,7 +93,6 @@ fn buffer(records: usize) -> TraceBuffer {
         };
         buf.record(SimTime::from_nanos(1_000 * i as u64), CoreId(core), event);
     }
-    buf.flush();
     buf
 }
 

@@ -372,7 +372,6 @@ fn all_events_buffer() -> TraceBuffer {
     for (time, core, event) in records {
         buf.record(time, core, event);
     }
-    buf.flush();
     buf
 }
 
