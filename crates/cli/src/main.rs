@@ -36,8 +36,8 @@
 //!                     summary
 //!   bench       time the event loop on the 10-cell benchmark matrix
 //!               (policies × workloads × machines, quarter scale, best of
-//!               3) and the sweep executor, and write BENCH_sim.json (see
-//!               EXPERIMENTS.md)
+//!               3 passes) and the sweep executor, and write BENCH_sim.json
+//!               (see EXPERIMENTS.md)
 //!   check       run the correctness subsystem: event-queue differential
 //!               fuzz, scenario differential replays, and the Lemma 1
 //!               conformance sweep; non-zero exit on any violation
@@ -406,7 +406,7 @@ fn run_bench_cmd(opts: &Options) -> Result<(), CliError> {
         None => None,
     };
     eprintln!(
-        "== bench matrix: policies x workloads x machines (scale {}, best of {}) ==",
+        "== bench matrix: policies x workloads x machines (scale {}, best of {} passes) ==",
         perf::BENCH_SCALE,
         perf::BENCH_REPEATS
     );

@@ -30,8 +30,13 @@
 //! [`SWEEP_SCHEMA_VERSION`]; the encoding destructures every config type
 //! exhaustively, so a new field does not compile until the key covers it,
 //! and it never reads `Debug` text. Bump the version whenever simulator
-//! semantics change so stale cells can never resurface; changing the
-//! encoding renames every file, so an older cache misses once.
+//! semantics change so stale cells can never resurface. File names start
+//! with [`cache_tag`], taken from one canonical scenario's key, so a new
+//! version or hashing, or a new encoding of a value that scenario carries,
+//! renames every file: an older cache misses once, and the next sweep that
+//! stores deletes its files. A new encoding of anything else (another
+//! `Policy` or `Machine` variant, a balancer config the scenario leaves at
+//! its default) leaves the tag alone, so it must bump the version too.
 //! The cache is **off by default in library use** (tests must re-run the
 //! simulator, not replay yesterday's build) and enabled explicitly by
 //! `speedbal-cli` (bypass with `--no-cache`).
@@ -197,7 +202,8 @@ pub struct SweepStats {
     pub cache_hits: u64,
     /// Cacheable scenarios that had to run (result persisted afterwards).
     pub cache_misses: u64,
-    /// Cache files deleted (oldest first) to honour the size cap.
+    /// Cache files deleted: those under another [`cache_tag`], then the
+    /// oldest to honour the size cap.
     pub evictions: u64,
     /// Wall-clock seconds spent inside `run_scenarios` and `run_sweep`
     /// calls, planning included.
@@ -322,44 +328,65 @@ pub(crate) fn run_pool<T: Send>(costs: &[u64], job: impl Fn(usize) -> T + Sync) 
         .collect()
 }
 
-/// Shrinks the cache directory to [`cache_cap_bytes`] by deleting the
-/// oldest entries first (modification time, ties broken by file name so
-/// the order is deterministic), returning how many files were removed.
-/// Best-effort like the rest of the cache: I/O errors skip the file.
+/// Trims the cache directory: deletes every cache file written under
+/// another [`cache_tag`] (or under none, as builds before the tag did),
+/// which no lookup of this build can reach, then shrinks this build's
+/// files to [`cache_cap_bytes`] by deleting the oldest first
+/// (modification time, ties broken by file name so the order is
+/// deterministic). Files whose names are not cache-shaped are never
+/// touched. Returns how many files were removed. Best-effort like the
+/// rest of the cache: I/O errors skip the file.
 pub fn evict_cache_to_cap() -> u64 {
     let cap = cache_cap_bytes();
     let Ok(entries) = std::fs::read_dir(cache_dir()) else {
         return 0;
     };
-    let mut files: Vec<(std::time::SystemTime, PathBuf, u64)> = entries
-        .filter_map(|e| {
-            let e = e.ok()?;
-            let path = e.path();
-            if path.extension().and_then(|x| x.to_str()) != Some("json") {
-                return None;
-            }
-            let meta = e.metadata().ok()?;
-            let mtime = meta.modified().ok()?;
-            Some((mtime, path, meta.len()))
-        })
-        .collect();
-    let mut total: u64 = files.iter().map(|(_, _, len)| len).sum();
-    if total <= cap {
-        return 0;
-    }
-    files.sort();
     let mut evicted = 0;
-    for (_, path, len) in files {
-        if total <= cap {
-            break;
+    let mut files: Vec<(std::time::SystemTime, PathBuf, u64)> = Vec::new();
+    for e in entries.flatten() {
+        let name = e.file_name();
+        let Some(tag) = name.to_str().and_then(cache_file_tag) else {
+            continue;
+        };
+        if tag != cache_tag() {
+            if std::fs::remove_file(e.path()).is_ok() {
+                evicted += 1;
+            }
+            continue;
         }
-        if std::fs::remove_file(&path).is_ok() {
-            total -= len;
-            evicted += 1;
+        let Ok(meta) = e.metadata() else {
+            continue;
+        };
+        if let Ok(mtime) = meta.modified() {
+            files.push((mtime, e.path(), meta.len()));
+        }
+    }
+    let mut total: u64 = files.iter().map(|(_, _, len)| len).sum();
+    if total > cap {
+        files.sort();
+        for (_, path, len) in files {
+            if total <= cap {
+                break;
+            }
+            if std::fs::remove_file(&path).is_ok() {
+                total -= len;
+                evicted += 1;
+            }
         }
     }
     STAT_EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
     evicted
+}
+
+/// The tag of a cache-shaped file name — `<8 hex>-<16 hex>.json`, or ""
+/// for the untagged `<16 hex>.json` — and `None` for any other name.
+fn cache_file_tag(name: &str) -> Option<&str> {
+    let stem = name.strip_suffix(".json")?;
+    let (tag, key) = stem.split_once('-').unwrap_or(("", stem));
+    let hex = |s: &str, n: usize| {
+        s.len() == n && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+    };
+    (hex(key, 16) && (tag.is_empty() || hex(tag, 8))).then_some(tag)
 }
 
 // ---------------------------------------------------------------------
@@ -511,11 +538,47 @@ pub fn run_scenarios(scenarios: Vec<Scenario>) -> Vec<ScenarioResult> {
 pub struct CacheKey(pub u64);
 
 impl CacheKey {
-    /// The key's canonical 16-hex-digit form (file stem and embedded
-    /// `"key"` field of the cache document).
+    /// The key's canonical 16-hex-digit form (the embedded `"key"` field
+    /// of the cache document).
     pub fn hex(&self) -> String {
         format!("{:016x}", self.0)
     }
+
+    /// The key's cache file name, `<cache_tag>-<hex>.json`.
+    pub fn file_name(&self) -> String {
+        format!("{}-{:016x}.json", cache_tag(), self.0)
+    }
+}
+
+/// The 8-hex-digit tag every cache file name of this build starts with:
+/// the top half of the key of one fixed canonical scenario (a yielding
+/// SPMD app beside a server and a CPU hog, under SPEED). That key folds
+/// in [`SWEEP_SCHEMA_VERSION`], the hashing and the encoding of the
+/// values this one scenario carries, so changing any of them renames
+/// every file, with no second constant to bump by hand, and
+/// [`evict_cache_to_cap`] reclaims the files under any other tag. A
+/// change to the encoding of a value it does not carry (`Policy::Dwrr`,
+/// `Policy::SpeedWith` and its configs, `Machine::Asymmetric`, ...)
+/// changes only the keys of the cells that carry it: bump
+/// [`SWEEP_SCHEMA_VERSION`] with it, or the old files stay until the cap.
+pub fn cache_tag() -> &'static str {
+    static TAG: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    TAG.get_or_init(|| {
+        let canonical = Scenario::new(
+            Machine::Uniform(4),
+            0,
+            Policy::Speed,
+            speedbal_workloads::ep().spmd(3, WaitMode::Yield, 1.0),
+        )
+        .server(speedbal_workloads::web(
+            4,
+            2,
+            0.5,
+            SimDuration::from_millis(100),
+        ))
+        .competitors(vec![Competitor::CpuHog { core: 0 }]);
+        format!("{:08x}", scenario_cache_key(&canonical).0 >> 32)
+    })
 }
 
 /// Content hash of a scenario cell: every `Scenario` field (machine,
@@ -741,7 +804,7 @@ impl KeyWords for OrderingPolicy {
 }
 
 fn cache_path(key: CacheKey) -> PathBuf {
-    cache_dir().join(format!("{}.json", key.hex()))
+    cache_dir().join(key.file_name())
 }
 
 /// The stack buffer [`cache_load`] reads into: quick-profile documents
@@ -1131,7 +1194,7 @@ pub(crate) mod tests {
         // Four ~100-byte files with strictly increasing mtimes.
         let body = "x".repeat(100);
         for i in 0..4 {
-            let path = dir.join(format!("{i:016x}.json"));
+            let path = cache_path(CacheKey(i));
             std::fs::write(&path, &body).unwrap();
             let t = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1_000 + i);
             let f = std::fs::File::open(&path).unwrap();
@@ -1147,14 +1210,13 @@ pub(crate) mod tests {
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
         left.sort();
-        assert_eq!(
-            left,
-            vec![
-                format!("{:016x}.json", 2),
-                format!("{:016x}.json", 3),
-                "README".to_string()
-            ]
-        );
+        let mut want = vec![
+            CacheKey(2).file_name(),
+            CacheKey(3).file_name(),
+            "README".to_string(),
+        ];
+        want.sort();
+        assert_eq!(left, want);
         // Under the cap: nothing more to do.
         assert_eq!(evict_cache_to_cap(), 0);
         // Cap of zero clears the cache but leaves foreign files alone.
@@ -1162,6 +1224,70 @@ pub(crate) mod tests {
         assert_eq!(evict_cache_to_cap(), 2);
         set_cache_cap_bytes(None);
         set_cache_dir(None);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_storing_sweep_reclaims_files_under_other_tags() {
+        use crate::scenario::{Machine, Policy, Scenario};
+        use speedbal_apps::WaitMode;
+        use speedbal_workloads::ep;
+        let _g = global_guard();
+        let dir = temp_cache_dir("orphans");
+        set_cache_dir(Some(dir.clone()));
+        set_cache_enabled(true);
+        set_jobs(Some(1));
+        let foreign = if cache_tag() == "00000000" {
+            "00000001"
+        } else {
+            "00000000"
+        };
+        let current = CacheKey(7).file_name();
+        for name in [
+            format!("{foreign}-0123456789abcdef.json"),
+            "0123456789abcdef.json".to_string(),
+            current.clone(),
+            "notes.json".to_string(),
+        ] {
+            std::fs::write(dir.join(name), "{}").unwrap();
+        }
+        let s = Scenario::new(
+            Machine::Uniform(2),
+            0,
+            Policy::Speed,
+            ep().spmd(3, WaitMode::Yield, 0.05),
+        );
+        let stored = scenario_cache_key(&s).file_name();
+        let before = sweep_stats();
+        run_scenarios(vec![s]);
+        let st = stats_since(before);
+        set_jobs(None);
+        set_cache_enabled(false);
+        set_cache_dir(None);
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        let mut want = vec![current, "notes.json".to_string(), stored];
+        want.sort();
+        assert_eq!(left, want);
+        assert_eq!((st.cache_misses, st.evictions), (1, 2));
+        // Only cache-shaped names carry a tag.
+        assert_eq!(cache_file_tag("0123456789abcdef.json"), Some(""));
+        assert_eq!(
+            cache_file_tag("89abcdef-0123456789abcdef.json"),
+            Some("89abcdef")
+        );
+        for other in [
+            "notes.json",
+            "0123456789ABCDEF.json",
+            "0123456789abcde.json",
+            "89abcde-0123456789abcdef.json",
+            "89abcdef-0123456789abcdef.json.tmp.1.0",
+        ] {
+            assert_eq!(cache_file_tag(other), None, "{other}");
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

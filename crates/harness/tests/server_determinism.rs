@@ -93,7 +93,7 @@ fn server_results_roundtrip_through_the_cache_bit_for_bit() {
 
     let key = scenario_cache_key(&s);
     assert!(
-        dir.join(format!("{}.json", key.hex())).exists(),
+        dir.join(key.file_name()).exists(),
         "server cell must persist under its content hash"
     );
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -152,7 +152,7 @@ fn stale_schema_cache_entries_are_recomputed() {
     // Simulate a cache written by an older build: rewind the schema
     // number inside each entry. The loader must treat them as misses.
     for s in &battery {
-        let path = dir.join(format!("{}.json", scenario_cache_key(s).hex()));
+        let path = dir.join(scenario_cache_key(s).file_name());
         let text = std::fs::read_to_string(&path).expect("cache entry written");
         let stale = text.replacen("\"schema\":", "\"schema\": 0, \"was\":", 1);
         assert_ne!(stale, text, "schema field must exist in the envelope");

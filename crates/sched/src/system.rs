@@ -159,7 +159,9 @@ struct Core {
     /// The core's armed-event slot: at most one pending core event, with
     /// in-place cancellation instead of post-and-invalidate.
     slot: SlotId,
-    /// Compute rate sampled at dispatch (speed × SMT × NUMA factors).
+    /// Compute rate (speed × frequency × SMT × NUMA × bandwidth factors)
+    /// sampled when a computation is dispatched; only a `Compute` stretch
+    /// reads it, so other dispatches leave it stale.
     current_rate: f64,
     busy_total: SimDuration,
     nr_switches: u64,
@@ -420,8 +422,9 @@ impl System {
 
     /// Handles one `Ev::FreqStep`: refresh the core's cached ratio and,
     /// if the core is busy, reschedule it so the elapsed stretch is
-    /// accounted at the old rate and the next dispatch samples the new
-    /// one (exact piecewise integration). Then arm the next step.
+    /// accounted at the old rate and the next dispatch of a computation
+    /// samples the new one (exact piecewise integration). Then arm the
+    /// next step.
     fn handle_freq_step(&mut self, c: usize, now: SimTime) {
         let Some(f) = self.freq.as_mut() else {
             return;
@@ -1178,22 +1181,75 @@ impl System {
     }
 
     /// Core event fired: pull the current task off the CPU, account it,
-    /// settle it, then dispatch the next one.
+    /// settle it, then dispatch the next one. A yielder still waiting,
+    /// with a waiter at the queue head, hands the core over directly
+    /// ([`System::yield_handoff`]).
     fn advance_core(&mut self, c: usize, now: SimTime) {
-        if let Some(tid) = self.cores[c].current.take() {
-            self.current_mi[c] = 0.0;
-            self.account_and_settle(tid, CoreId(c), now);
-            // Requeue if the task remains runnable (and not suspended).
-            if self.tasks.state[tid.0] == TaskState::Runnable {
-                if self.tasks.suspended[tid.0] {
-                    self.detach_vruntime_common(tid, CoreId(c));
-                } else {
-                    let v = self.tasks.vruntime[tid.0];
-                    self.cores[c].queue.enqueue(&mut self.tasks.rq, v, tid);
-                }
+        let Some(tid) = self.cores[c].current else {
+            self.pick_and_dispatch(c, now);
+            return;
+        };
+        if let Activity::YieldLoop { cond } = self.tasks.activity[tid.0] {
+            if self.yield_handoff(c, tid, cond, now) {
+                return;
+            }
+        }
+        self.cores[c].current = None;
+        self.current_mi[c] = 0.0;
+        self.account_and_settle(tid, CoreId(c), now);
+        // Requeue if the task remains runnable (and not suspended).
+        if self.tasks.state[tid.0] == TaskState::Runnable {
+            if self.tasks.suspended[tid.0] {
+                self.detach_vruntime_common(tid, CoreId(c));
+            } else {
+                let v = self.tasks.vruntime[tid.0];
+                self.cores[c].queue.enqueue(&mut self.tasks.rq, v, tid);
             }
         }
         self.pick_and_dispatch(c, now);
+    }
+
+    /// The yield handoff: the running yielder `tid` is still waiting on
+    /// `cond`, and so is the queue head (a yielder or a spinner). The
+    /// general path would charge the yielder, settle it (nothing due),
+    /// park it at the right edge, pop the head, settle it (nothing due) and
+    /// dispatch it; this does exactly that without the two settles, the
+    /// pick loop or a compute rate, which neither waiter reads, and writes
+    /// the `Desched` and `Dispatch` trace records in one
+    /// [`TraceBuffer::record_switch`]. Returns false, having changed
+    /// nothing, in every other case.
+    #[inline(never)]
+    fn yield_handoff(&mut self, c: usize, tid: TaskId, cond: CondId, now: SimTime) -> bool {
+        if self.conds.is_set(cond) {
+            return false;
+        }
+        let Some((_, head)) = self.cores[c].queue.peek_min(&self.tasks.rq) else {
+            return false;
+        };
+        match self.tasks.activity[head.0] {
+            Activity::YieldLoop { cond: hc } | Activity::Spin { cond: hc }
+                if !self.conds.is_set(hc) => {}
+            _ => return false,
+        }
+        // A running task is never suspended (`suspend_task` takes it off
+        // the CPU at once), so the yielder requeues; a queued task is
+        // runnable, so the head needs no state check.
+        debug_assert!(!self.tasks.suspended[tid.0]);
+        debug_assert_eq!(self.tasks.state[head.0], TaskState::Runnable);
+        let ran = self.charge(tid, CoreId(c), now);
+        self.park_yielder(tid, c);
+        let v = self.tasks.vruntime[tid.0];
+        let rq = &mut self.cores[c].queue;
+        rq.enqueue(&mut self.tasks.rq, v, tid);
+        // The yielder parked strictly right of every queued key, so the
+        // head is still the minimum.
+        let popped = rq.pop_min(&mut self.tasks.rq);
+        debug_assert_eq!(popped.map(|(_, t)| t), Some(head));
+        self.start_running(c, head, now);
+        if let Some(buf) = self.trace.as_mut() {
+            buf.record_switch(now, CoreId(c), tid.0, ran, head.0);
+        }
+        true
     }
 
     /// Accounts the stretch the task just ran, applies activity progress,
@@ -1201,70 +1257,98 @@ impl System {
     /// block, sleep or exit the task). On return the task is in state
     /// Runnable (not queued), Blocked, or Exited.
     fn account_and_settle(&mut self, tid: TaskId, core: CoreId, now: SimTime) {
-        let rate = self.cores[core.0].current_rate;
-        {
-            let i = tid.0;
-            debug_assert_eq!(self.tasks.state[i], TaskState::Running);
-            let ran = now.saturating_since(self.tasks.last_dispatched[i]);
-            self.tasks.exec_total[i] += ran;
-            self.tasks.last_ran_at[i] = now;
-            // Nice-0 weight (1024) is the overwhelmingly common case; skip
-            // the division (x * 1024 / 1024 == x exactly).
-            self.tasks.vruntime[i] += if self.tasks.weight[i] == 1024 {
-                ran.as_nanos()
-            } else {
-                ran.as_nanos() * 1024 / self.tasks.weight[i] as u64
-            };
-            self.cores[core.0].busy_total += ran;
-            // Advance the queue's vruntime floor.
-            let floor = match self.cores[core.0].queue.peek_min(&self.tasks.rq) {
-                Some((v, _)) => v.min(self.tasks.vruntime[i]),
-                None => self.tasks.vruntime[i],
-            };
-            self.cores[core.0].queue.advance_min_vruntime(floor);
-
-            // Burn the migration stall first, then make activity progress.
-            let mut wall = ran;
-            if !self.tasks.pending_stall[i].is_zero() {
-                let burned = self.tasks.pending_stall[i].min(wall);
-                self.tasks.pending_stall[i] -= burned;
-                wall = wall.saturating_sub(burned);
-            }
-            match &mut self.tasks.activity[i] {
-                Activity::Compute { remaining } => {
-                    let done = wall.mul_f64(rate);
-                    *remaining = remaining.saturating_sub(done);
-                }
-                Activity::SpinThenBlock { remaining_spin, .. } => {
-                    *remaining_spin = remaining_spin.saturating_sub(wall);
-                }
-                _ => {}
-            }
-            self.tasks.state[i] = TaskState::Runnable;
-            if self.desched_events_wanted {
-                self.pending_desched.push((tid, core, ran));
-            }
-            if let Some(buf) = self.trace.as_mut() {
-                buf.record(now, core, TraceEvent::Desched { task: tid.0, ran });
-            }
+        let ran = self.charge(tid, core, now);
+        if let Some(buf) = self.trace.as_mut() {
+            buf.record(now, core, TraceEvent::Desched { task: tid.0, ran });
         }
-        // A `sched_yield` completes: the yielder parks at the right edge of
-        // the queue so everyone else runs first (CFS yield_task).
         if let Activity::YieldLoop { cond } = self.tasks.activity[tid.0] {
             if !self.conds.is_set(cond) {
-                if let Some(maxv) = self.cores[core.0].queue.max_vruntime(&self.tasks.rq) {
-                    let v = &mut self.tasks.vruntime[tid.0];
-                    *v = (*v).max(maxv + 1);
-                }
+                self.park_yielder(tid, core.0);
             }
         }
         self.settle_task(tid, now);
     }
 
+    /// Charges the stretch the running task `tid` just ran on `core`: CPU
+    /// time, vruntime, the queue's vruntime floor, stall and activity
+    /// progress. Leaves it Runnable (not queued), queues the deschedule for
+    /// the balancer and returns the stretch for the caller's trace record.
+    /// Inlined into both of its callers, like [`System::start_running`]: as
+    /// calls the two cost the yield handoff about 5%.
+    #[inline(always)]
+    fn charge(&mut self, tid: TaskId, core: CoreId, now: SimTime) -> SimDuration {
+        let i = tid.0;
+        debug_assert_eq!(self.tasks.state[i], TaskState::Running);
+        let ran = now.saturating_since(self.tasks.last_dispatched[i]);
+        self.tasks.exec_total[i] += ran;
+        self.tasks.last_ran_at[i] = now;
+        // Nice-0 weight (1024) is the overwhelmingly common case; skip
+        // the division (x * 1024 / 1024 == x exactly).
+        self.tasks.vruntime[i] += if self.tasks.weight[i] == 1024 {
+            ran.as_nanos()
+        } else {
+            ran.as_nanos() * 1024 / self.tasks.weight[i] as u64
+        };
+        self.cores[core.0].busy_total += ran;
+        // Advance the queue's vruntime floor.
+        let floor = match self.cores[core.0].queue.peek_min(&self.tasks.rq) {
+            Some((v, _)) => v.min(self.tasks.vruntime[i]),
+            None => self.tasks.vruntime[i],
+        };
+        self.cores[core.0].queue.advance_min_vruntime(floor);
+
+        // Burn the migration stall first, then make activity progress.
+        let mut wall = ran;
+        if !self.tasks.pending_stall[i].is_zero() {
+            let burned = self.tasks.pending_stall[i].min(wall);
+            self.tasks.pending_stall[i] -= burned;
+            wall = wall.saturating_sub(burned);
+        }
+        match &mut self.tasks.activity[i] {
+            Activity::Compute { remaining } => {
+                let done = wall.mul_f64(self.cores[core.0].current_rate);
+                *remaining = remaining.saturating_sub(done);
+            }
+            Activity::SpinThenBlock { remaining_spin, .. } => {
+                *remaining_spin = remaining_spin.saturating_sub(wall);
+            }
+            _ => {}
+        }
+        self.tasks.state[i] = TaskState::Runnable;
+        if self.desched_events_wanted {
+            self.pending_desched.push((tid, core, ran));
+        }
+        ran
+    }
+
+    /// A `sched_yield` completes with the condition still unset: the
+    /// yielder parks at the right edge of core `c`'s queue so everyone
+    /// else runs first (CFS yield_task).
+    fn park_yielder(&mut self, tid: TaskId, c: usize) {
+        if let Some(maxv) = self.cores[c].queue.max_vruntime(&self.tasks.rq) {
+            let v = &mut self.tasks.vruntime[tid.0];
+            *v = (*v).max(maxv + 1);
+        }
+    }
+
     /// Walks a runnable task through every transition that is already due:
     /// finished computations, satisfied conditions, expired spin timeouts.
     /// Calls the program as needed.
+    #[inline]
     fn settle_task(&mut self, tid: TaskId, now: SimTime) {
+        // A spinner or yielder whose condition is unset has nothing due,
+        // the common case on every waiting core.
+        if let Activity::Spin { cond } | Activity::YieldLoop { cond } = self.tasks.activity[tid.0] {
+            if !self.conds.is_set(cond) {
+                return;
+            }
+        }
+        self.settle_transitions(tid, now);
+    }
+
+    /// [`System::settle_task`]'s loop, out of line.
+    #[inline(never)]
+    fn settle_transitions(&mut self, tid: TaskId, now: SimTime) {
         for _ in 0..MAX_CHAINED_TRANSITIONS {
             let due = match self.tasks.activity[tid.0] {
                 Activity::Fresh => true,
@@ -1620,26 +1704,34 @@ impl System {
     fn try_dispatch(&mut self, c: usize, tid: TaskId, now: SimTime) -> bool {
         // The task may have been released/blocked/exited while queued.
         self.settle_task(tid, now);
-        let state = self.tasks.state[tid.0];
-        if state != TaskState::Runnable {
+        if self.tasks.state[tid.0] != TaskState::Runnable {
             return false;
         }
+        self.start_running(c, tid, now);
+        if let Some(buf) = self.trace.as_mut() {
+            buf.record(now, CoreId(c), TraceEvent::Dispatch { task: tid.0 });
+        }
+        true
+    }
+
+    /// Puts the settled runnable task `tid`, just popped off core `c`'s
+    /// queue, on the CPU and arms its boundary event.
+    #[inline(always)]
+    fn start_running(&mut self, c: usize, tid: TaskId, now: SimTime) {
         let core = CoreId(c);
         self.tasks.state[tid.0] = TaskState::Running;
         self.tasks.last_dispatched[tid.0] = now;
         // Popped off this core's queue, so membership is already right.
         debug_assert_eq!(self.tasks.core[tid.0], core);
-        self.tasks.core[tid.0] = core;
-        if let Some(buf) = self.trace.as_mut() {
-            buf.record(now, core, TraceEvent::Dispatch { task: tid.0 });
-        }
         self.cores[c].current = Some(tid);
         self.current_mi[c] = self.tasks.mem_intensity[tid.0];
         self.cores[c].nr_switches += 1;
-        self.cores[c].current_rate = self.compute_rate(core, tid);
+        // Only a computation's progress and boundary read the rate.
+        if let Activity::Compute { .. } = self.tasks.activity[tid.0] {
+            self.cores[c].current_rate = self.compute_rate(core, tid);
+        }
         self.update_busy_flag(c, now);
         self.arm_boundary(c, now);
-        true
     }
 
     /// [`SchedConfig::slice_for`], memoized (the config never changes after
@@ -1658,10 +1750,10 @@ impl System {
     fn arm_boundary(&mut self, c: usize, now: SimTime) {
         let tid = self.cores[c].current.expect("arming idle core");
         let nr = self.cores[c].nr_running();
-        let rate = self.cores[c].current_rate;
         let stall = self.tasks.pending_stall[tid.0];
         let activity_wall: Option<SimDuration> = match self.tasks.activity[tid.0] {
             Activity::Compute { remaining } => {
+                let rate = self.cores[c].current_rate;
                 debug_assert!(rate > 0.0, "dispatched on a zero-speed core");
                 Some(stall + remaining.mul_f64(1.0 / rate))
             }
@@ -1693,8 +1785,9 @@ impl System {
             (None, None) => None, // external events will reschedule us
         };
         // Bandwidth contention changes with what the *other* cores run;
-        // rates are sampled at dispatch, so bandwidth-sensitive tasks
-        // resample on a short tick to bound the staleness.
+        // a computation's rate is sampled at dispatch, so
+        // bandwidth-sensitive tasks resample on a short tick to bound the
+        // staleness.
         if self.topo.models_bandwidth() && self.tasks.mem_intensity[tid.0] > 0.0 {
             let tick = SimDuration::from_millis(5);
             boundary = Some(boundary.map_or(tick, |b| b.min(tick)));

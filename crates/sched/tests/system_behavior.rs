@@ -1006,3 +1006,124 @@ mod freq {
         );
     }
 }
+
+/// Computes on its own core and sets each condition once its computation
+/// ends, in order, then exits.
+struct Releaser {
+    steps: Vec<(SimDuration, speedbal_sched::CondId)>,
+    next: usize,
+}
+
+impl Program for Releaser {
+    fn next(&mut self, ctx: &mut ProgramCtx<'_>) -> Directive {
+        if self.next > 0 {
+            ctx.set_cond(self.steps[self.next - 1].1);
+        }
+        self.next += 1;
+        match self.steps.get(self.next - 1) {
+            Some(&(work, _)) => Directive::Compute(work),
+            None => Directive::Exit,
+        }
+    }
+}
+
+/// What a yield-handoff scenario pins: steps, completion time (ns), the
+/// exec total (ns) of every core-0 task, core 0's switch count and the
+/// trace's record count (0 untraced).
+type HandoffOutcome = (u64, u64, Vec<u64>, u64, usize);
+
+/// Runs one group on two cores: `core0` waiter programs pinned to core 0
+/// and a [`Releaser`] on core 1 that sets conditions `0..` at the given
+/// instants (ns, ascending).
+fn handoff_run(
+    traced: bool,
+    core0: impl FnOnce(&[speedbal_sched::CondId]) -> Vec<Box<dyn Program>>,
+    release_ns: &[u64],
+) -> HandoffOutcome {
+    let mut sys = mk_system(2);
+    if traced {
+        sys.enable_tracing();
+    }
+    let g = sys.new_group();
+    let conds: Vec<_> = release_ns.iter().map(|_| sys.alloc_cond()).collect();
+    let tasks: Vec<_> = core0(&conds)
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| sys.spawn(SpawnSpec::new(p, format!("w{i}"), g).pin(CoreId(0))))
+        .collect();
+    let mut at = 0;
+    let steps = release_ns
+        .iter()
+        .zip(&conds)
+        .map(|(&ns, &c)| {
+            let work = SimDuration::from_nanos(ns - at);
+            at = ns;
+            (work, c)
+        })
+        .collect();
+    sys.spawn(SpawnSpec::new(Box::new(Releaser { steps, next: 0 }), "releaser", g).pin(CoreId(1)));
+    let done = sys.run_until_group_done(g, SimTime::from_secs(1)).unwrap();
+    (
+        sys.events_processed(),
+        done.as_nanos(),
+        tasks
+            .iter()
+            .map(|&t| sys.task_exec_total(t).as_nanos())
+            .collect(),
+        sys.core_switches(CoreId(0)),
+        sys.trace().map_or(0, |b| b.len()),
+    )
+}
+
+#[test]
+fn yield_handoff_between_waiters_is_exact() {
+    // Two yielders share core 0 and wait on one condition that core 1
+    // sets at 10 ms: until then each yield hands the core straight to the
+    // other waiter. The literals are the general path's outcome.
+    let two_yielders =
+        |c: &[speedbal_sched::CondId]| vec![waiter(c[0], "yield"), waiter(c[0], "yield")];
+    assert_eq!(
+        handoff_run(false, two_yielders, &[10_000_000]),
+        (10005, 12_000_000, vec![6_000_000, 6_000_000], 10002, 0)
+    );
+    assert_eq!(
+        handoff_run(true, two_yielders, &[10_000_000]),
+        (10005, 12_000_000, vec![6_000_000, 6_000_000], 10002, 20009)
+    );
+    // A spinning head takes the handoff too (and keeps the core for its
+    // slice, since a spinner has no yield boundary).
+    let yielder_and_spinner =
+        |c: &[speedbal_sched::CondId]| vec![waiter(c[0], "yield"), waiter(c[0], "spin")];
+    assert_eq!(
+        handoff_run(true, yielder_and_spinner, &[60_000_000]),
+        (11, 62_000_000, vec![1_003_000, 60_997_000], 8, 21)
+    );
+}
+
+#[test]
+fn yield_without_a_waiting_head_takes_the_general_path() {
+    // The queue head computes: the yielder cedes the core to it.
+    let computing_head =
+        |c: &[speedbal_sched::CondId]| vec![waiter(c[0], "yield"), compute_task(ms(30))];
+    assert_eq!(
+        handoff_run(true, computing_head, &[40_000_000]),
+        (9, 41_000_000, vec![11_000_000, 30_000_000], 6, 17)
+    );
+    // The two yielders wait on different conditions and take turns on
+    // whole microseconds; core 1 sets the second one's condition half-way
+    // through a turn. At 5.0005 ms the first yielder runs: the queue
+    // head's condition is set, so it settles into its computation before
+    // it takes the core.
+    let two_conds =
+        |c: &[speedbal_sched::CondId]| vec![waiter(c[1], "yield"), waiter(c[0], "yield")];
+    assert_eq!(
+        handoff_run(true, two_conds, &[5_000_500, 8_000_000]),
+        (5008, 9_000_000, vec![5_500_000, 3_500_000], 5004, 10015)
+    );
+    // At 5.0015 ms the second yielder runs: its own condition is set, so
+    // it leaves the yield loop and computes instead of handing over.
+    assert_eq!(
+        handoff_run(true, two_conds, &[5_001_500, 8_000_000]),
+        (5009, 9_000_000, vec![5_499_500, 3_500_500], 5005, 10017)
+    );
+}

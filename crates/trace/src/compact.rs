@@ -53,6 +53,10 @@ const DROP_REASONS: [RequestDropReason; 2] =
 /// task, from, to: 10 bytes each), one-byte tier and reason indices and
 /// three raw floats, 77 bytes.
 const MAX_RECORD: usize = 96;
+/// Tags of the two context-switch records, which [`Ring::push_switch`]
+/// writes without going through [`encode`].
+const DISPATCH: u8 = 0;
+const DESCHED: u8 = 1;
 /// Bytes the ring's writable room grows by once fewer than [`MAX_RECORD`]
 /// remain past the tail: a few hundred records per growth, and at most
 /// this much memory touched ahead of the encoded bytes.
@@ -96,6 +100,39 @@ impl Ring {
         self.tail += w.n;
         self.tail_ns = time.as_nanos();
         self.count += 1;
+    }
+
+    /// Appends `Desched { task: out, ran }` then `Dispatch { task: into }`,
+    /// both at `time` on `core`: the bytes two [`Ring::push`] calls write,
+    /// with one room check and no dispatch on the event's variant.
+    pub(crate) fn push_switch(
+        &mut self,
+        time: SimTime,
+        core: CoreId,
+        out: usize,
+        ran: SimDuration,
+        into: usize,
+    ) {
+        if self.bytes.len() < self.tail + MAX_RECORD {
+            self.bytes.resize(self.tail + MAX_RECORD + GROW, 0);
+        }
+        let room = self.bytes[self.tail..]
+            .first_chunk_mut::<MAX_RECORD>()
+            .expect("room for the longest record was made above");
+        // At most 41 + 22 bytes: both records fit one record's room.
+        let mut w = Writer { buf: room, n: 0 };
+        w.u8(DESCHED);
+        w.i64(time.as_nanos().wrapping_sub(self.tail_ns) as i64);
+        w.u64(core.0 as u64);
+        w.u64(out as u64);
+        w.u64(ran.as_nanos());
+        w.u8(DISPATCH);
+        w.i64(0);
+        w.u64(core.0 as u64);
+        w.u64(into as u64);
+        self.tail += w.n;
+        self.tail_ns = time.as_nanos();
+        self.count += 2;
     }
 
     /// Drops the oldest record (no-op on an empty ring), sliding the
@@ -186,8 +223,8 @@ fn encode(
     policies: &mut Vec<&'static str>,
 ) {
     let tag: u8 = match event {
-        TraceEvent::Dispatch { .. } => 0,
-        TraceEvent::Desched { .. } => 1,
+        TraceEvent::Dispatch { .. } => DISPATCH,
+        TraceEvent::Desched { .. } => DESCHED,
         TraceEvent::Preempt { .. } => 2,
         TraceEvent::Wake { .. } => 3,
         TraceEvent::Sleep { .. } => 4,
@@ -747,6 +784,31 @@ mod tests {
         );
         let len = ring.tail - before;
         assert!(len <= 6, "dispatch took {len} bytes");
+    }
+
+    #[test]
+    fn a_switch_writes_the_bytes_of_its_two_records() {
+        // Time deltas of every varint length, both signs, and full-width
+        // task ids, cores and stretches.
+        let cases = [
+            (5u64, 0usize, 0usize, 0u64, 1usize),
+            (5, 3, 17, 1_000, 18),
+            (1_000_000, 127, 128, 16_383, 16_384),
+            (3, 1, 2, 5, 2), // earlier than the previous record
+            (u64::MAX, usize::MAX, usize::MAX, u64::MAX, usize::MAX),
+            (0, 9, 4, 1 << 40, 4), // the same task out and in
+        ];
+        let (mut one, mut two) = (Ring::default(), Ring::default());
+        for (ns, core, out, ran, into) in cases {
+            let (time, core) = (SimTime::from_nanos(ns), CoreId(core));
+            let ran = SimDuration::from_nanos(ran);
+            one.push_switch(time, core, out, ran, into);
+            two.push(time, core, &TraceEvent::Desched { task: out, ran });
+            two.push(time, core, &TraceEvent::Dispatch { task: into });
+            assert_eq!(one.bytes[..one.tail], two.bytes[..two.tail]);
+            assert_eq!((one.len(), one.tail_ns), (two.len(), two.tail_ns));
+        }
+        assert!(one.records().eq(two.records()));
     }
 
     #[test]

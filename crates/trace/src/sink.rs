@@ -391,6 +391,34 @@ impl TraceBuffer {
         self.ring.push(time, core, &event);
     }
 
+    /// Records a context switch on `core` at `time`: `Desched { task: out,
+    /// ran }` then `Dispatch { task: into }`. Leaves exactly what the two
+    /// [`TraceBuffer::record`] calls leave, in one pass: the aggregates
+    /// once, and both records encoded with one room check. A sampling
+    /// sink, or a ring with fewer than two free slots, takes the two calls.
+    pub fn record_switch(
+        &mut self,
+        time: SimTime,
+        core: CoreId,
+        out: usize,
+        ran: SimDuration,
+        into: usize,
+    ) {
+        if self.cfg.sample_rate < 1.0 || self.ring.len() + 2 > self.cfg.capacity {
+            self.record(time, core, TraceEvent::Desched { task: out, ran });
+            self.record(time, core, TraceEvent::Dispatch { task: into });
+            return;
+        }
+        self.first_time.get_or_insert(time);
+        self.last_time = self.last_time.max(time);
+        self.set_n_cores(core.0 + 1);
+        self.counters.descheds += 1;
+        self.counters.dispatches += 1;
+        self.transition(out, LifeState::Runnable, time);
+        self.transition(into, LifeState::Running, time);
+        self.ring.push_switch(time, core, out, ran, into);
+    }
+
     /// One draw of the deterministic sampling stream: keep with
     /// probability `sample_rate`.
     fn sample_keep(&mut self) -> bool {
@@ -745,6 +773,73 @@ mod tests {
         assert_eq!(buf.request_latency_stats().count(), 1);
         assert!((buf.request_latency_stats().mean() - 4.0).abs() < 1e-12);
         assert!((buf.request_wait_stats().mean() - 1.0).abs() < 1e-12);
+    }
+
+    /// Every observable of a buffer: retained records, drops, sampling,
+    /// counters, time-in-state and the time span.
+    fn observe(buf: &TraceBuffer) -> impl PartialEq + std::fmt::Debug {
+        (
+            buf.records().collect::<Vec<_>>(),
+            (
+                buf.dropped(),
+                buf.sampled_out(),
+                buf.n_cores(),
+                buf.n_tasks(),
+            ),
+            buf.counters().clone(),
+            (0..buf.n_tasks())
+                .map(|t| buf.time_in_state(t))
+                .collect::<Vec<_>>(),
+            (buf.start_time(), buf.end_time()),
+        )
+    }
+
+    #[test]
+    fn a_switch_records_what_its_two_records_do() {
+        // Unsampled with room, a ring that fills and wraps mid-run (one
+        // record then switches: the fourth switch meets one free slot), and
+        // a sampled sink.
+        for (capacity, sample_rate) in [(1 << 20, 1.0), (8, 1.0), (1 << 20, 0.5)] {
+            let cfg = TraceConfig {
+                capacity,
+                sample_rate,
+                sample_seed: 11,
+                ..TraceConfig::default()
+            };
+            let (mut one, mut two) = (
+                TraceBuffer::with_config(cfg.clone()),
+                TraceBuffer::with_config(cfg),
+            );
+            for buf in [&mut one, &mut two] {
+                buf.task_spawned(0, "a", t(0));
+                buf.task_spawned(1, "b", t(0));
+                buf.record(t(1), CoreId(2), TraceEvent::Dispatch { task: 0 });
+            }
+            for i in 0..20u64 {
+                let (time, core) = (t(2 + i), CoreId(2 + i as usize % 3));
+                let ran = SimDuration::from_micros(1 + i);
+                // One task out and back in, and one new to both sinks.
+                let (out, into) = match i {
+                    15 => (1, 1),
+                    19 => (0, 5),
+                    _ if i % 2 == 0 => (0, 1),
+                    _ => (1, 0),
+                };
+                one.record_switch(time, core, out, ran, into);
+                two.record(time, core, TraceEvent::Desched { task: out, ran });
+                two.record(time, core, TraceEvent::Dispatch { task: into });
+                if i == 9 {
+                    for buf in [&mut one, &mut two] {
+                        buf.record(time, core, TraceEvent::Wake { task: 1 });
+                    }
+                }
+            }
+            assert_eq!(
+                observe(&one),
+                observe(&two),
+                "capacity {capacity}, rate {sample_rate}"
+            );
+        }
     }
 
     #[test]
