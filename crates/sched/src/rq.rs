@@ -173,6 +173,39 @@ impl RunQueue {
         Some((key, TaskId(h)))
     }
 
+    /// Parks `task` at the right edge with `key` and pops the leftmost
+    /// task, in one splice: `enqueue` then `pop_min` without the tail walk
+    /// or a second unlink. The queue must be non-empty, `task` not queued,
+    /// and `(key, task)` ordered after every queued entry, as
+    /// `sched_yield` parks a yielder; the length is unchanged.
+    #[inline]
+    pub fn rotate(&mut self, links: &mut RqLinks, key: u64, task: TaskId) -> (u64, TaskId) {
+        links.ensure(task.0);
+        let (h, tail, t) = (self.head as usize, self.tail, task.0 as u32);
+        debug_assert!(self.head != NIL, "rotating an empty queue");
+        debug_assert!(!links.on[task.0], "task {task} double-enqueued");
+        debug_assert!(
+            (links.key[tail as usize], tail as usize) < (key, task.0),
+            "rotated task must order after every queued entry"
+        );
+        let popped = (links.key[h], TaskId(h));
+        // Link the new tail (after the head itself in a one-entry queue).
+        links.key[task.0] = key;
+        links.on[task.0] = true;
+        links.prev[task.0] = tail;
+        links.next[task.0] = NIL;
+        links.next[tail as usize] = t;
+        self.tail = t;
+        // Unlink the head; the new tail guarantees it has a successor.
+        let next = links.next[h];
+        self.head = next;
+        links.prev[next as usize] = NIL;
+        links.prev[h] = NIL;
+        links.next[h] = NIL;
+        links.on[h] = false;
+        popped
+    }
+
     /// Peeks at the leftmost task without removing it.
     pub fn peek_min(&self, links: &RqLinks) -> Option<(u64, TaskId)> {
         if self.head == NIL {
@@ -380,6 +413,27 @@ mod tests {
     }
 
     #[test]
+    fn rotate_parks_at_the_tail_and_pops_the_head() {
+        let mut links = RqLinks::new();
+        let mut q = RunQueue::new();
+        // A one-entry queue swaps its only entry for the parked task.
+        q.enqueue(&mut links, 5, TaskId(1));
+        assert_eq!(q.rotate(&mut links, 6, TaskId(0)), (5, TaskId(1)));
+        assert_eq!(q.iter(&links).collect::<Vec<_>>(), vec![TaskId(0)]);
+        assert_eq!(q.validate(&links), Ok(()));
+        assert!(!q.contains(&links, 5, TaskId(1)));
+        // A longer queue keeps its middle and gains a new tail.
+        q.enqueue(&mut links, 3, TaskId(2));
+        q.enqueue(&mut links, 6, TaskId(3));
+        assert_eq!(q.rotate(&mut links, 7, TaskId(1)), (3, TaskId(2)));
+        let order: Vec<TaskId> = q.iter(&links).collect();
+        assert_eq!(order, vec![TaskId(0), TaskId(3), TaskId(1)]);
+        assert_eq!(q.max_vruntime(&links), Some(7));
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.validate(&links), Ok(()));
+    }
+
+    #[test]
     fn validate_accepts_live_queue_and_catches_bad_len() {
         let mut links = RqLinks::new();
         let mut q = RunQueue::new();
@@ -413,6 +467,10 @@ mod proptests {
         /// Re-queue the minimum at the right edge (`max_vruntime + 1`), as
         /// `sched_yield` parks the yielder.
         Yield,
+        /// The yield handoff: the running task (the head the last pop or
+        /// handoff took) parks at `max_vruntime + 1` and the head pops to
+        /// run in its place, in one `rotate`.
+        Handoff,
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
@@ -421,6 +479,7 @@ mod proptests {
             (0usize..1_000_000).prop_map(|pick| Op::Dequeue { pick }),
             Just(Op::PopMinAndAdvance),
             Just(Op::Yield),
+            Just(Op::Handoff),
         ]
     }
 
@@ -428,7 +487,7 @@ mod proptests {
         /// The intrusive-list queue behaves exactly like an ordered-set
         /// model, passes its structural `validate`, and the `min_vruntime`
         /// floor never decreases, under arbitrary
-        /// enqueue/dequeue/pop/yield interleavings.
+        /// enqueue/dequeue/pop/yield/handoff interleavings.
         #[test]
         fn matches_btree_model_and_floor_is_monotone(
             ops in proptest::collection::vec(op_strategy(), 1..400)
@@ -437,11 +496,14 @@ mod proptests {
             let mut q = RunQueue::new();
             let mut model: BTreeSet<(u64, TaskId)> = BTreeSet::new();
             let mut last_floor = q.min_vruntime();
+            // The task the last pop or handoff put on the CPU: off the
+            // queue, so never enqueued until it is replaced.
+            let mut running: Option<TaskId> = None;
             for op in ops {
                 match op {
                     Op::Enqueue { id, vruntime } => {
                         let t = TaskId(id);
-                        if !model.iter().any(|(_, m)| *m == t) {
+                        if running != Some(t) && !model.iter().any(|(_, m)| *m == t) {
                             q.enqueue(&mut links, vruntime, t);
                             model.insert((vruntime, t));
                         }
@@ -461,8 +523,9 @@ mod proptests {
                         }
                         let got = q.pop_min(&mut links);
                         prop_assert_eq!(got, expect);
-                        if let Some((v, _)) = got {
+                        if let Some((v, t)) = got {
                             q.advance_min_vruntime(v);
+                            running = Some(t);
                         }
                     }
                     Op::Yield => {
@@ -476,6 +539,20 @@ mod proptests {
                             // nothing is ordered after it.
                             prop_assert_eq!(q.iter(&links).last(), Some(t));
                             prop_assert_eq!(q.max_vruntime(&links), Some(edge));
+                        }
+                    }
+                    Op::Handoff => {
+                        if let (Some(r), Some(edge)) = (running, q.max_vruntime(&links)) {
+                            let edge = edge + 1;
+                            let head = *model.iter().next().unwrap();
+                            let len = q.len();
+                            prop_assert_eq!(q.rotate(&mut links, edge, r), head);
+                            model.remove(&head);
+                            model.insert((edge, r));
+                            running = Some(head.1);
+                            prop_assert!(!q.contains(&links, head.0, head.1));
+                            prop_assert_eq!(q.iter(&links).last(), Some(r));
+                            prop_assert_eq!(q.len(), len);
                         }
                     }
                 }

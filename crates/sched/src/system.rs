@@ -1214,8 +1214,11 @@ impl System {
     /// general path would charge the yielder, settle it (nothing due),
     /// park it at the right edge, pop the head, settle it (nothing due) and
     /// dispatch it; this does exactly that without the two settles, the
-    /// pick loop or a compute rate, which neither waiter reads, and writes
-    /// the `Desched` and `Dispatch` trace records in one
+    /// pick loop or a compute rate, which neither waiter reads. The park
+    /// and the pop are one [`RunQueue::rotate`]; the busy flag is left as
+    /// it is, since the core stays occupied; the head's boundary is the
+    /// waiter case of [`System::arm_boundary`], armed directly; and the
+    /// `Desched` and `Dispatch` trace records are written in one
     /// [`TraceBuffer::record_switch`]. Returns false, having changed
     /// nothing, in every other case.
     #[inline(never)]
@@ -1226,11 +1229,11 @@ impl System {
         let Some((_, head)) = self.cores[c].queue.peek_min(&self.tasks.rq) else {
             return false;
         };
-        match self.tasks.activity[head.0] {
-            Activity::YieldLoop { cond: hc } | Activity::Spin { cond: hc }
-                if !self.conds.is_set(hc) => {}
+        let yields = match self.tasks.activity[head.0] {
+            Activity::YieldLoop { cond: hc } if !self.conds.is_set(hc) => true,
+            Activity::Spin { cond: hc } if !self.conds.is_set(hc) => false,
             _ => return false,
-        }
+        };
         // A running task is never suspended (`suspend_task` takes it off
         // the CPU at once), so the yielder requeues; a queued task is
         // runnable, so the head needs no state check.
@@ -1238,14 +1241,19 @@ impl System {
         debug_assert_eq!(self.tasks.state[head.0], TaskState::Runnable);
         let ran = self.charge(tid, CoreId(c), now);
         self.park_yielder(tid, c);
-        let v = self.tasks.vruntime[tid.0];
-        let rq = &mut self.cores[c].queue;
-        rq.enqueue(&mut self.tasks.rq, v, tid);
         // The yielder parked strictly right of every queued key, so the
-        // head is still the minimum.
-        let popped = rq.pop_min(&mut self.tasks.rq);
-        debug_assert_eq!(popped.map(|(_, t)| t), Some(head));
+        // head is still the minimum: one splice requeues the one and pops
+        // the other.
+        let v = self.tasks.vruntime[tid.0];
+        let (_, popped) = self.cores[c].queue.rotate(&mut self.tasks.rq, v, tid);
+        debug_assert_eq!(popped, head);
+        // The core stays occupied, so its busy flag (true while a task
+        // runs; see the invariant checker) stays as it is, and a waiter
+        // reads no compute rate.
+        debug_assert!(self.cores[c].busy_flag);
         self.start_running(c, head, now);
+        let wall = self.waiter_wall(c, yields);
+        self.arm_wall(c, head, wall, now);
         if let Some(buf) = self.trace.as_mut() {
             buf.record_switch(now, CoreId(c), tid.0, ran, head.0);
         }
@@ -1708,6 +1716,12 @@ impl System {
             return false;
         }
         self.start_running(c, tid, now);
+        // Only a computation's progress and boundary read the rate.
+        if let Activity::Compute { .. } = self.tasks.activity[tid.0] {
+            self.cores[c].current_rate = self.compute_rate(CoreId(c), tid);
+        }
+        self.update_busy_flag(c, now);
+        self.arm_boundary(c, now);
         if let Some(buf) = self.trace.as_mut() {
             buf.record(now, CoreId(c), TraceEvent::Dispatch { task: tid.0 });
         }
@@ -1715,41 +1729,42 @@ impl System {
     }
 
     /// Puts the settled runnable task `tid`, just popped off core `c`'s
-    /// queue, on the CPU and arms its boundary event.
+    /// queue, on the CPU. The caller samples its rate, settles the busy
+    /// flag and arms its boundary.
     #[inline(always)]
     fn start_running(&mut self, c: usize, tid: TaskId, now: SimTime) {
-        let core = CoreId(c);
         self.tasks.state[tid.0] = TaskState::Running;
         self.tasks.last_dispatched[tid.0] = now;
         // Popped off this core's queue, so membership is already right.
-        debug_assert_eq!(self.tasks.core[tid.0], core);
+        debug_assert_eq!(self.tasks.core[tid.0], CoreId(c));
         self.cores[c].current = Some(tid);
         self.current_mi[c] = self.tasks.mem_intensity[tid.0];
         self.cores[c].nr_switches += 1;
-        // Only a computation's progress and boundary read the rate.
-        if let Activity::Compute { .. } = self.tasks.activity[tid.0] {
-            self.cores[c].current_rate = self.compute_rate(core, tid);
-        }
-        self.update_busy_flag(c, now);
-        self.arm_boundary(c, now);
     }
 
     /// [`SchedConfig::slice_for`], memoized (the config never changes after
     /// construction, and `nr_running` stays small).
+    #[inline(always)]
     fn slice_for_cached(&mut self, nr: usize) -> SimDuration {
         if self.slice_cache.len() <= nr {
-            let cfg = &self.cfg;
-            let start = self.slice_cache.len();
-            self.slice_cache
-                .extend((start..=nr).map(|n| cfg.slice_for(n)));
+            self.grow_slice_cache(nr);
         }
         self.slice_cache[nr]
+    }
+
+    /// Extends the slice memo through `nr`; out of line, so the lookup
+    /// inlines into the boundary arm.
+    #[cold]
+    fn grow_slice_cache(&mut self, nr: usize) {
+        let cfg = &self.cfg;
+        let start = self.slice_cache.len();
+        self.slice_cache
+            .extend((start..=nr).map(|n| cfg.slice_for(n)));
     }
 
     /// Computes and schedules the running task's next boundary event.
     fn arm_boundary(&mut self, c: usize, now: SimTime) {
         let tid = self.cores[c].current.expect("arming idle core");
-        let nr = self.cores[c].nr_running();
         let stall = self.tasks.pending_stall[tid.0];
         let activity_wall: Option<SimDuration> = match self.tasks.activity[tid.0] {
             Activity::Compute { remaining } => {
@@ -1757,22 +1772,45 @@ impl System {
                 debug_assert!(rate > 0.0, "dispatched on a zero-speed core");
                 Some(stall + remaining.mul_f64(1.0 / rate))
             }
-            Activity::Spin { .. } => None, // released externally
+            Activity::Spin { .. } => self.waiter_wall(c, false),
             Activity::SpinThenBlock { remaining_spin, .. } => Some(stall + remaining_spin),
-            Activity::YieldLoop { .. } => {
-                if self.cores[c].queue.is_empty() {
-                    // A lone yielder degenerates to a spinner: sched_yield
-                    // returns immediately with nobody to yield to.
-                    None
-                } else {
-                    Some(self.cfg.yield_cost)
-                }
-            }
+            Activity::YieldLoop { .. } => self.waiter_wall(c, true),
             Activity::Fresh
             | Activity::Blocked { .. }
             | Activity::Sleeping { .. }
             | Activity::Exited => unreachable!("dispatched unsettled task"),
         };
+        self.arm_wall(c, tid, activity_wall, now);
+    }
+
+    /// The activity boundary of a waiter running on core `c`: a spinner
+    /// runs until released externally (`None`); a yielder's `sched_yield`
+    /// completes after `yield_cost`, unless nobody is queued to yield to,
+    /// when it degenerates to a spinner. Inlined into
+    /// [`System::arm_boundary`] and the yield handoff, which knows the
+    /// answer's shape in advance.
+    #[inline(always)]
+    fn waiter_wall(&self, c: usize, yields: bool) -> Option<SimDuration> {
+        if yields && !self.cores[c].queue.is_empty() {
+            Some(self.cfg.yield_cost)
+        } else {
+            None
+        }
+    }
+
+    /// Schedules core `c`'s boundary for its running task `tid`, whose own
+    /// activity ends after `activity_wall` (`None`: released externally):
+    /// the earliest of that, the slice while others are queued and the
+    /// bandwidth tick, never under 1 ns.
+    #[inline(always)]
+    fn arm_wall(
+        &mut self,
+        c: usize,
+        tid: TaskId,
+        activity_wall: Option<SimDuration>,
+        now: SimTime,
+    ) {
+        let nr = self.cores[c].nr_running();
         let slice_wall: Option<SimDuration> = if nr > 1 {
             Some(self.slice_for_cached(nr))
         } else {

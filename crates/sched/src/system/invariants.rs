@@ -10,7 +10,8 @@
 //! * **Conservation** — Σ task exec time == Σ core busy time, to the
 //!   nanosecond, in-flight stretches included.
 //! * **Mirror consistency** — `members` and `current_mi` vs an O(n) scan of
-//!   the task table.
+//!   the task table, and each core's busy flag vs its occupancy (up while
+//!   it runs a task; down when idle between steps).
 //! * **Run-queue / affinity coherence** — every queued task is Runnable and
 //!   unsuspended with its stored vruntime key; every Running task is its
 //!   core's `current`; every non-exited task sits on a core its pin/mask
@@ -189,6 +190,15 @@ impl System {
 
         let mut queued_total = 0usize;
         for (c, core) in self.cores.iter().enumerate() {
+            // A running core's busy flag is up: the yield handoff leaves
+            // it alone on the strength of this. (An idle core's flag comes
+            // down when its dispatch cycle ends; `invariant_tick` checks
+            // that direction between steps.)
+            if let (Some(t), false) = (core.current, core.busy_flag) {
+                violations.push(format!(
+                    "mirror: busy_flag of core {c} is down but it runs {t}"
+                ));
+            }
             // `current` / `current_mi` coherence.
             match core.current {
                 Some(t) => {
@@ -297,6 +307,20 @@ impl System {
         let mut violations = self.check_invariants();
         let now = self.now();
         let mut state = self.check.take().expect("invariant_tick without state");
+        // Between steps every dispatch cycle has ended, so the busy flag
+        // equals occupancy. Inside a cycle an emptied core keeps its flag
+        // up until the cycle ends (newidle balancing migrates, and runs
+        // the post-migration hook, in between), so that no same-instant
+        // deschedule and redispatch notifies its SMT siblings.
+        if matches!(point, "post-step" | "post-balance-tick") {
+            for (c, core) in self.cores.iter().enumerate() {
+                if core.busy_flag && core.current.is_none() {
+                    violations.push(format!(
+                        "mirror: busy_flag of core {c} is up but it runs nothing"
+                    ));
+                }
+            }
+        }
         state.floors.resize(self.cores.len(), 0);
         for (c, core) in self.cores.iter().enumerate() {
             let floor = core.queue.min_vruntime();
@@ -436,6 +460,36 @@ mod tests {
             v.iter().any(|m| m.contains("current_mi")),
             "stale current_mi not caught: {v:?}"
         );
+    }
+
+    #[test]
+    fn detects_stale_busy_flag() {
+        let mut sys = checked_system(2);
+        let g = sys.new_group();
+        sys.spawn(SpawnSpec::new(compute(10), "a", g));
+        sys.step();
+        assert!(sys.cores[0].current.is_some() && sys.cores[0].busy_flag);
+        assert!(!sys.cores[1].busy_flag);
+        assert!(sys.check_invariants().is_empty());
+        // A busy core whose flag is down is caught at any time.
+        sys.cores[0].busy_flag = false;
+        let v = sys.check_invariants();
+        assert!(
+            v.iter().any(|m| m.contains("busy_flag of core 0 is down")),
+            "stale busy flag not caught: {v:?}"
+        );
+        sys.cores[0].busy_flag = true;
+        // An idle core whose flag is up passes mid-cycle hooks, where an
+        // emptied core legitimately keeps its flag, but not a step's end.
+        sys.cores[1].busy_flag = true;
+        assert!(sys.check_invariants().is_empty());
+        sys.invariant_tick("post-migration");
+        let msg = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sys.invariant_tick("post-step");
+        }))
+        .unwrap_err();
+        let msg = msg.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("busy_flag of core 1 is up"), "got: {msg}");
     }
 
     #[test]

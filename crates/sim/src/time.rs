@@ -32,6 +32,23 @@ pub const NANOS_PER_MILLI: u64 = 1_000_000;
 /// Nanoseconds in one second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
+/// `x.round() as u64` for every `f64`, without the call to a software
+/// `round` that `f64::round` lowers to on the baseline x86-64 target.
+/// Below 2^52 truncation and the remainder are both exact, so rounding
+/// half away from zero is one compare; at and above 2^52 every double is
+/// an integer, and `as u64` saturates NaN, the infinities and negatives
+/// just as it does their rounded values.
+#[inline]
+fn round_u64(x: f64) -> u64 {
+    const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+    if (0.0..TWO_POW_52).contains(&x) {
+        let t = x as u64;
+        t + u64::from(x - t as f64 >= 0.5)
+    } else {
+        x as u64
+    }
+}
+
 impl SimTime {
     /// The instant at which every simulation starts.
     pub const ZERO: SimTime = SimTime(0);
@@ -114,7 +131,7 @@ impl SimDuration {
         if s <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((s * NANOS_PER_SEC as f64).round() as u64)
+        SimDuration(round_u64(s * NANOS_PER_SEC as f64))
     }
 
     /// Raw nanosecond count.
@@ -146,7 +163,7 @@ impl SimDuration {
     /// nanosecond. Useful for speed scaling (`duration * (1.0 / core_speed)`).
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         debug_assert!(factor >= 0.0, "negative duration scaling");
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_u64(self.0 as f64 * factor))
     }
 
     /// The smaller of two spans.
@@ -346,6 +363,51 @@ mod tests {
         assert_eq!(a.max(b), b);
         let total: SimDuration = [a, b, a].into_iter().sum();
         assert_eq!(total, SimDuration::from_nanos(13));
+    }
+
+    #[test]
+    fn round_u64_matches_round_then_cast() {
+        let check = |x: f64| {
+            assert_eq!(round_u64(x), x.round() as u64, "{x:e} ({:#x})", x.to_bits());
+            assert_eq!(round_u64(-x), (-x).round() as u64, "{:e}", -x);
+        };
+        // Every power of two, subnormals included, and one ulp either side.
+        for e in -1074i64..=1023 {
+            let bits = if e < -1022 {
+                1u64 << (e + 1074)
+            } else {
+                ((e + 1023) as u64) << 52
+            };
+            for b in [bits - 1, bits, bits + 1] {
+                check(f64::from_bits(b));
+            }
+        }
+        // Halves, and one ulp either side, wherever doubles have them.
+        for n in (0..64).map(|k| 1u64 << k).chain(0..1_000) {
+            let half = n as f64 + 0.5;
+            for b in [half.to_bits() - 1, half.to_bits(), half.to_bits() + 1] {
+                check(f64::from_bits(b));
+            }
+        }
+        for x in [
+            0.0,
+            0.49999999999999994,
+            f64::NAN,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            18_446_744_073_709_551_616.0, // 2^64
+            f64::MAX,
+        ] {
+            check(x);
+        }
+        // A seeded sweep over every bit pattern and over the integer range
+        // the simulator's spans live in.
+        let mut rng = crate::SimRng::new(0x5EED_2052);
+        for _ in 0..1 << 20 {
+            check(f64::from_bits(rng.next_u64()));
+            check(rng.range_f64(0.0, 9_007_199_254_740_992.0)); // 2^53
+            check(rng.range_f64(0.0, 1e7));
+        }
     }
 
     #[test]
